@@ -12,7 +12,6 @@ from .braid import BraidWord, parse_braid
 from .invariant import (
     InvariantValue,
     ProportionalityError,
-    StateVector,
     compute_ado3,
     compute_lg,
     compute_lg_specialized,
@@ -34,7 +33,6 @@ __all__ = [
     "LaurentPoly1",
     "LaurentPoly2",
     "ProportionalityError",
-    "StateVector",
     "compute_ado3",
     "compute_lg",
     "compute_lg_specialized",

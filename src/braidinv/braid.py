@@ -127,16 +127,3 @@ def read_braid_list(lines: Iterable[str]) -> Iterator[BraidWord]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
 
-
-def write_braid_list(path: str, braids: Iterable[BraidWord],
-                     header: str | None = None) -> int:
-    """Write a braid-list file; returns the number of braids written."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for b in braids:
-            fh.write(b.format() + "\n")
-            count += 1
-    return count

@@ -195,6 +195,8 @@ def main(argv=None) -> int:
             args.jobs = os.cpu_count() or 1
         if args.jobs < 1:
             parser.error("--jobs must be at least 1")
+        if not 0 <= args.audit <= 1:
+            parser.error(f"--audit must be in [0, 1], got {args.audit}")
         return cmd_verify(args)
     return cmd_enumerate(args)
 

@@ -11,16 +11,16 @@ reduces to checking finitely many words:
   with every S4 element, 6480 words total.
 
 Orders are fixed and deterministic: ± superscript patterns expand plus before
-minus, leftmost factor outermost, so cached sweep prefixes and report indices
-are stable across runs.  For families whose fixed part is defined trailing
-(types 1-7), the stored word leads with the fixed part instead; that is a
-cyclic rotation, so the closure is unchanged, and it lets one cached prefix
-evolution serve all 648 words of the family.
+minus, leftmost factor outermost, so the sweep's word order and report
+indices are stable across runs.  For families whose fixed part is defined
+trailing (types 1-7), the stored word leads with the fixed part instead; that
+is a cyclic rotation, so the closure is unchanged, and it makes the fixed part
+the shared trunk of the family's word trie, evolved once for all 648 words.
 
 The same letter sequence can arise from several (u, w) pairs, e.g. [3, 2, 1]
-three ways, so the 648 S4 words contain repeated sequences; sweeps iterate
-the full indexed list, and the per-family counts are the quantity that
-matters.
+three ways, so the 648 S4 words contain repeated sequences; sweeps report
+the full indexed list (repeats share one trie node), and the per-family
+counts are the quantity that matters.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ TYPE_FIXED: dict[int, Letters] = {
 }
 
 # families 8-10 are defined with the fixed part leading; 1-7 are defined with
-# it trailing and are rotated to leading for the shared-prefix sweep
+# it trailing and are rotated to leading so that the fixed part is shared
 ROTATED_TYPES = frozenset(range(1, 8))
 
 FAMILY_TAGS = ("S4",) + tuple(f"Type{k}" for k in range(1, 11))
@@ -142,7 +142,8 @@ class CheckWord:
     full: BraidWord
 
 
-def _s4_check_words() -> list[CheckWord]:
+def enumerate_s4_check_words() -> list[CheckWord]:
+    """The 648 S4 words as sweep entries (4 strands, empty prefix)."""
     empty = BraidWord(4, ())
     out = []
     for idx, w in enumerate(_s4_letters()):
@@ -164,11 +165,6 @@ def _type_check_words(type_no: int) -> list[CheckWord]:
     return out
 
 
-def enumerate_s4_check_words() -> list[CheckWord]:
-    """The 648 S4 words as sweep entries (4 strands, empty prefix)."""
-    return _s4_check_words()
-
-
 def enumerate_s5_check_words() -> list[CheckWord]:
     """All 6480 five-strand check words, types 1..10 in order.
 
@@ -185,7 +181,7 @@ def enumerate_s5_check_words() -> list[CheckWord]:
 def family_words(tag: str) -> list[CheckWord]:
     """Check words of one family: "S4" or "Type1".."Type10"."""
     if tag == "S4":
-        return _s4_check_words()
+        return enumerate_s4_check_words()
     if tag.startswith("Type"):
         type_no = int(tag[4:])
         if 1 <= type_no <= 10:

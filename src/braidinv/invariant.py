@@ -13,20 +13,27 @@ the invariant of the closure (strand 1 is the strand cut open).  The a != 0
 blocks of column 0 are asserted to vanish, and ``paranoid=True`` evolves all
 d**n basis columns to verify the full proportionality O = c * Id.
 
-States are sparse maps from packed keys to amplitudes: strand s contributes
-two bits at position 2(s-1) (both representations have d <= 4), and a braid
-letter ±k touches only the four bits of strands k, k+1.  Per letter and
-strand pair the R-matrix column is precompiled to (key delta, coefficient
-terms) lists, so the hot loop is pure integer and dict work.  Three
-coefficient kernels cover the rings involved:
+One engine serves a single braid and a whole sweep family alike: the words
+form a prefix trie over their letter sequences, so a family's fixed part and
+common suffix letters are evolved once, and identical sequences share a node
+and its accumulator.  Each node records its reach, the largest |letter| below
+it.  A letter k touches only strands k, k+1, so when the reach drops to r the
+digits of strands r+2..n are frozen, and states whose frozen digits have left
+the middle index m can never reach a diagonal entry: they are dropped exactly.
+A lone braid is walked unfrozen: its cost is the same wherever its reach drops.
 
-* ``cyc``  -- Laurent polynomials over Z[w] as {exp: (a, b)} dicts
-              (colored Alexander, d = 3);
-* ``ext1`` -- pairs (even, odd) of such dicts with Y**2 folded in via the
-              specialized modulus (Links-Gould at t0 = t**2, t1 = w**2 t**-2,
-              d = 4);
-* ``ext2`` -- pairs of {(e0, e1): int} dicts in the two-variable generic ring
-              (Links-Gould, d = 4).
+States are sparse maps from packed keys to amplitudes: strand s contributes
+two bits at position 2(s-1) (both representations have d <= 4).  Per letter
+and strand pair the R-matrix column is precompiled to (key delta, coefficient
+terms) lists, so the hot loop is pure integer and dict work.  The amplitude
+kernels cover the rings involved:
+
+* Laurent polynomials over Z[w] as {exp: (a, b)} dicts (colored Alexander,
+  d = 3);
+* pairs (even, odd) of such dicts with Y**2 folded in via the specialized
+  modulus (Links-Gould at t0 = t**2, t1 = w**2 t**-2, d = 4);
+* pairs of {(e0, e1): int} dicts in the two-variable generic ring
+  (Links-Gould, d = 4).
 """
 
 from __future__ import annotations
@@ -34,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord
 from .rep import (
-    DiagonalOperator,
     LocalOperator,
     build_ado3_h,
     build_ado3_r,
@@ -73,7 +79,7 @@ class InvariantValue:
     paranoid: bool = False
 
 
-# --- coefficient kernels ----------------------------------------------------
+# --- coefficient rings --------------------------------------------------------
 
 def _conv_cyc(dst: dict, src: dict, terms: tuple) -> None:
     """dst += src * terms over Z[w][t, t**-1]; terms are (exp, a, b)."""
@@ -97,6 +103,17 @@ def _conv_int2(dst: dict, src: dict, terms: tuple) -> None:
             dst[ne] = dst.get(ne, 0) + pc * c
 
 
+def _add_cyc(dst: dict, src: dict) -> None:
+    for e, (a, b) in src.items():
+        cur = dst.get(e)
+        dst[e] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
+
+
+def _add_int2(dst: dict, src: dict) -> None:
+    for e, c in src.items():
+        dst[e] = dst.get(e, 0) + c
+
+
 def _prune_cyc(amp: dict) -> dict:
     return {e: c for e, c in amp.items() if c[0] or c[1]}
 
@@ -105,136 +122,162 @@ def _prune_int2(amp: dict) -> dict:
     return {e: c for e, c in amp.items() if c}
 
 
-def _apply_cyc(state: dict, shift: int, table: list) -> dict:
-    out: dict = {}
-    for key, amp in state.items():
-        for delta, terms in table[(key >> shift) & 15]:
-            nk = key + delta
-            acc = out.get(nk)
-            if acc is None:
-                acc = {}
-                out[nk] = acc
-            _conv_cyc(acc, amp, terms)
-    res: dict = {}
-    for nk, acc in out.items():
-        acc = _prune_cyc(acc)
-        if acc:
-            res[nk] = acc
-    return res
+def _flat_cyc(raw: dict) -> tuple:
+    return tuple((k, a, b) for k, (a, b) in sorted(raw.items()))
 
 
-def _apply_ext(state: dict, shift: int, table: list, conv, prune) -> dict:
-    out: dict = {}
-    for key, (ae, ao) in state.items():
-        for delta, ev, od, odp in table[(key >> shift) & 15]:
-            nk = key + delta
-            acc = out.get(nk)
-            if acc is None:
-                acc = ({}, {})
-                out[nk] = acc
-            de, do = acc
-            if ev:
-                if ae:
-                    conv(de, ae, ev)
-                if ao:
-                    conv(do, ao, ev)
-            if od:
-                if ae:
-                    conv(do, ae, od)
-                if ao:
-                    conv(de, ao, odp)   # odd*odd picks up Y**2 = modulus
-    res: dict = {}
-    for nk, (de, do) in out.items():
-        de = prune(de)
-        do = prune(do)
-        if de or do:
-            res[nk] = (de, do)
-    return res
+def _flat_int2(raw: dict) -> tuple:
+    return tuple((e0, e1, c) for (e0, e1), c in sorted(raw.items()))
 
 
-class _Kernel:
-    """Ring-specific raw operations the evolution engine is generic over."""
+# --- amplitude kernels -------------------------------------------------------
 
-    __slots__ = ("kind", "dim", "conv", "prune")
+class _PolyKernel(NamedTuple):
+    """Amplitudes are raw polynomials, {exponent: coefficient} dicts.
 
-    def __init__(self, kind: str, dim: int) -> None:
-        self.kind = kind
-        self.dim = dim
-        self.conv = _conv_cyc if kind in ("cyc", "ext1") else _conv_int2
-        self.prune = _prune_cyc if kind in ("cyc", "ext1") else _prune_int2
+    ``conv`` multiplies by flat terms (what ``flat`` makes of a raw dict) and
+    accumulates, ``add`` adds raw dicts, ``unit`` is the raw form of 1 and
+    ``poly`` the public polynomial type.  The colored Alexander engine uses
+    it directly; the extension kernel uses it for both halves of a pair.
+    """
 
-    def one(self):
-        if self.kind == "cyc":
-            return {0: (1, 0)}
-        if self.kind == "ext1":
-            return ({0: (1, 0)}, {})
-        return ({(0, 0): 1}, {})
+    conv: Callable
+    add: Callable
+    prune: Callable
+    flat: Callable
+    unit: dict
+    poly: type
+
+    def one(self) -> dict:
+        return dict(self.unit)
+
+    def zero(self) -> dict:
+        return {}
+
+    def terms(self, value) -> tuple:
+        """Ring element -> the flat coefficient terms ``apply`` consumes."""
+        return (self.flat(value._terms),)
 
     def apply(self, state: dict, shift: int, table: list) -> dict:
-        if self.kind == "cyc":
-            return _apply_cyc(state, shift, table)
-        return _apply_ext(state, shift, table, self.conv, self.prune)
+        conv = self.conv
+        out: dict = {}
+        for key, amp in state.items():
+            for delta, terms in table[(key >> shift) & 15]:
+                nk = key + delta
+                acc = out.get(nk)
+                if acc is None:
+                    acc = {}
+                    out[nk] = acc
+                conv(acc, amp, terms)
+        prune = self.prune
+        res: dict = {}
+        for nk, acc in out.items():
+            acc = prune(acc)
+            if acc:
+                res[nk] = acc
+        return res
 
-    def acc_weighted(self, dst, src, weight_terms: tuple) -> None:
-        """dst += src * weight, with an even (scalar-ring) weight."""
-        if self.kind == "cyc":
-            self.conv(dst, src, weight_terms)
-        else:
-            de, do = dst
-            ae, ao = src
-            if ae:
-                self.conv(de, ae, weight_terms)
-            if ao:
-                self.conv(do, ao, weight_terms)
+    def weight(self, mons: list[tuple], m: tuple[int, ...]) -> tuple:
+        """Product of the weight monomials of a middle multi-index, flat."""
+        weight = self.unit
+        for digit in m:
+            nxt: dict = {}
+            self.conv(nxt, weight, mons[digit])
+            weight = nxt
+        return self.flat(weight)
 
-    def fresh_total(self):
-        return {} if self.kind == "cyc" else ({}, {})
+    def accumulate(self, dst: dict, src: dict, weight: tuple) -> None:
+        """dst += src * weight, with a weight in the coefficient ring."""
+        self.conv(dst, src, weight)
 
-    def total_is_zero(self, total) -> bool:
-        if self.kind == "cyc":
-            return not self.prune(total)
-        de, do = total
-        return not self.prune(de) and not self.prune(do)
+    def is_zero(self, total: dict) -> bool:
+        return not self.prune(total)
 
-    def wrap(self, total):
+    def wrap(self, total: dict):
         """Raw accumulator -> public ring element."""
-        if self.kind == "cyc":
-            return LaurentPoly1(self.prune(total))
-        de, do = total
-        if self.kind == "ext1":
-            return ext_specialized(LaurentPoly1(_prune_cyc(de)),
-                                   LaurentPoly1(_prune_cyc(do)))
-        return ext_generic(LaurentPoly2(_prune_int2(de)),
-                           LaurentPoly2(_prune_int2(do)))
+        return self.poly(self.prune(total))
 
 
-_KERNELS = {
-    "cyc": _Kernel("cyc", 3),
-    "ext1": _Kernel("ext1", 4),
-    "ext2": _Kernel("ext2", 4),
-}
+class _ExtKernel(NamedTuple):
+    """Amplitudes are (even, odd) pairs in R[Y] / (Y**2 - modulus)."""
+
+    coeffs: _PolyKernel          # the ring R
+    ext: Callable                # (even, odd) -> public ExtScalar
+
+    def one(self) -> tuple:
+        return (self.coeffs.one(), {})
+
+    def zero(self) -> tuple:
+        return ({}, {})
+
+    def terms(self, value: ExtScalar) -> tuple:
+        """(even, odd, odd * modulus) flat terms of an extension element."""
+        flat = self.coeffs.flat
+        return (flat(value.even._terms), flat(value.odd._terms),
+                flat((value.odd * value.modulus)._terms))
+
+    def apply(self, state: dict, shift: int, table: list) -> dict:
+        conv = self.coeffs.conv
+        out: dict = {}
+        for key, (ae, ao) in state.items():
+            for delta, ev, od, odp in table[(key >> shift) & 15]:
+                nk = key + delta
+                acc = out.get(nk)
+                if acc is None:
+                    acc = ({}, {})
+                    out[nk] = acc
+                de, do = acc
+                if ev:
+                    if ae:
+                        conv(de, ae, ev)
+                    if ao:
+                        conv(do, ao, ev)
+                if od:
+                    if ae:
+                        conv(do, ae, od)
+                    if ao:
+                        conv(de, ao, odp)   # odd*odd picks up Y**2 = modulus
+        prune = self.coeffs.prune
+        res: dict = {}
+        for nk, (de, do) in out.items():
+            de = prune(de)
+            do = prune(do)
+            if de or do:
+                res[nk] = (de, do)
+        return res
+
+    def weight(self, mons: list[tuple], m: tuple[int, ...]) -> tuple:
+        return self.coeffs.weight(mons, m)
+
+    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> None:
+        """dst += src * weight, with an even (coefficient-ring) weight."""
+        conv = self.coeffs.conv
+        if src[0]:
+            conv(dst[0], src[0], weight)
+        if src[1]:
+            conv(dst[1], src[1], weight)
+
+    def add(self, dst: tuple, src: tuple) -> None:
+        self.coeffs.add(dst[0], src[0])
+        self.coeffs.add(dst[1], src[1])
+
+    def is_zero(self, total: tuple) -> bool:
+        return self.coeffs.is_zero(total[0]) and self.coeffs.is_zero(total[1])
+
+    def wrap(self, total: tuple) -> ExtScalar:
+        """Raw accumulator -> public ring element."""
+        return self.ext(self.coeffs.wrap(total[0]), self.coeffs.wrap(total[1]))
+
+
+_CYC = _PolyKernel(_conv_cyc, _add_cyc, _prune_cyc, _flat_cyc, {0: (1, 0)},
+                   LaurentPoly1)
+_INT2 = _PolyKernel(_conv_int2, _add_int2, _prune_int2, _flat_int2,
+                    {(0, 0): 1}, LaurentPoly2)
 
 
 # --- operator compilation ---------------------------------------------------
 
-def _compile_value(kind: str, value) -> tuple:
-    """Ring element -> the flat coefficient terms the kernels consume."""
-    if kind == "cyc":
-        return (tuple((k, a, b) for k, (a, b) in sorted(value._terms.items())),)
-    if kind == "ext1":
-        ev = tuple((k, a, b) for k, (a, b) in sorted(value.even._terms.items()))
-        od = tuple((k, a, b) for k, (a, b) in sorted(value.odd._terms.items()))
-        odp = tuple((k, a, b) for k, (a, b)
-                    in sorted((value.odd * value.modulus)._terms.items()))
-        return (ev, od, odp)
-    ev = tuple((e0, e1, c) for (e0, e1), c in sorted(value.even._terms.items()))
-    od = tuple((e0, e1, c) for (e0, e1), c in sorted(value.odd._terms.items()))
-    odp = tuple((e0, e1, c) for (e0, e1), c
-                in sorted((value.odd * value.modulus)._terms.items()))
-    return (ev, od, odp)
-
-
-def _table16(op: LocalOperator, d: int, shift: int, kind: str) -> list:
+def _table16(op: LocalOperator, d: int, shift: int, kernel) -> list:
     """Per pair-bit-pattern outputs of a local operator at a given position."""
     cols = op.columns()
     table: list[tuple] = [() for _ in range(16)]
@@ -247,245 +290,218 @@ def _table16(op: LocalOperator, d: int, shift: int, kind: str) -> list:
         for row, value in cols.get(d * i + j, ()):
             i2, j2 = divmod(row, d)
             npb = i2 | (j2 << 2)
-            outs.append(((npb - pb) << shift,) + _compile_value(kind, value))
+            outs.append(((npb - pb) << shift,) + kernel.terms(value))
         table[pb] = tuple(outs)
     return table
 
 
 def compile_letter_tables(r: LocalOperator, rinv: LocalOperator, d: int,
-                          strands: int, kind: str) -> dict[int, tuple[int, list]]:
+                          strands: int, kernel) -> dict[int, tuple[int, list]]:
     """letter -> (shift, 16-entry table) for every letter valid on n strands."""
     tables: dict[int, tuple[int, list]] = {}
     for k in range(1, strands):
         shift = 2 * (k - 1)
-        tables[k] = (shift, _table16(r, d, shift, kind))
-        tables[-k] = (shift, _table16(rinv, d, shift, kind))
+        tables[k] = (shift, _table16(r, d, shift, kernel))
+        tables[-k] = (shift, _table16(rinv, d, shift, kernel))
     return tables
 
 
+# invariant -> (R builder, inverse builder, closure weight builder, kernel, d)
 _BUILDERS = {
-    "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, "cyc", 3),
-    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h, "ext2", 4),
+    "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, _CYC, 3),
+    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h,
+           _ExtKernel(_INT2, ext_generic), 4),
     "lg-spec": (build_lg_r_specialized, build_lg_r_inverse_specialized,
-                build_lg_h_specialized, "ext1", 4),
+                build_lg_h_specialized, _ExtKernel(_CYC, ext_specialized), 4),
 }
 
 
 @lru_cache(maxsize=None)
 def _tables_for(invariant: str, strands: int) -> dict[int, tuple[int, list]]:
-    build_r, build_rinv, _, kind, d = _BUILDERS[invariant]
-    return compile_letter_tables(build_r(), build_rinv(), d, strands, kind)
+    build_r, build_rinv, _, kernel, d = _BUILDERS[invariant]
+    return compile_letter_tables(build_r(), build_rinv(), d, strands, kernel)
 
 
 @lru_cache(maxsize=None)
 def _weight_monomials(invariant: str) -> list[tuple]:
     """The closure weight of each basis vector as a single compiled term."""
-    _, _, build_h, kind, _ = _BUILDERS[invariant]
-    return _compile_weights(build_h(), kind)
-
-
-def _compile_weights(h: DiagonalOperator, kind: str) -> list[tuple]:
+    _, _, build_h, kernel, _ = _BUILDERS[invariant]
     out = []
-    for v in h.values:
-        compiled = _compile_value(kind, v)
-        if kind != "cyc" and compiled[1]:
+    for v in build_h().values:
+        terms, *odd = kernel.terms(v)
+        if any(odd):
             raise ValueError("closure weights must be even")
-        terms = compiled[0]
         if len(terms) != 1:
             raise ValueError("closure weights must be monomials")
         out.append(terms)
     return out
 
 
-def _middle_weight(kind: str, mons: list[tuple], m: tuple[int, ...]) -> tuple:
-    """Product of the weight monomials of a middle multi-index, as one term."""
-    if kind in ("cyc", "ext1"):
-        exp, a, b = 0, 1, 0
-        for digit in m:
-            ((te, ea, eb),) = mons[digit]
-            exp += te
-            a, b = a * ea - b * eb, a * eb + b * ea + b * eb
-        return ((exp, a, b),)
-    e0, e1, c = 0, 0, 1
-    for digit in m:
-        ((t0, t1, tc),) = mons[digit]
-        e0 += t0
-        e1 += t1
-        c *= tc
-    return ((e0, e1, c),)
+# --- the trie walk -----------------------------------------------------------
+
+class _Node:
+    """A prefix-trie node: (letter, child) pairs, the accumulator slot of the
+    sequence ending here (or None) and the largest |letter| below."""
+
+    __slots__ = ("children", "slot", "reach")
+
+    def __init__(self) -> None:
+        self.children: dict | tuple = {}
+        self.slot: int | None = None
+        self.reach = 0
 
 
-def evolve_state(state: dict, word: Iterable[int],
-                 tables: dict[int, tuple[int, list]], kernel: _Kernel) -> dict:
-    """Apply braid letters in order to a raw sparse state."""
-    for letter in word:
-        shift, table = tables[letter]
-        state = kernel.apply(state, shift, table)
-    return state
+def _build_trie(seqs: Sequence[tuple[int, ...]]) -> _Node:
+    """Trie over distinct letter sequences; sequence i ends at slot i."""
+    root = _Node()
+    for slot, seq in enumerate(seqs):
+        node = root
+        for letter in seq:
+            child = node.children.get(letter)
+            if child is None:
+                child = node.children[letter] = _Node()
+            node = child
+        node.slot = slot
+    order = [root]
+    for node in order:              # breadth first; children are appended
+        node.children = tuple(node.children.items())
+        order.extend(child for _, child in node.children)
+    for node in reversed(order):
+        node.reach = max((max(abs(letter), child.reach)
+                          for letter, child in node.children), default=0)
+    return root
 
 
-def _pack(m: tuple[int, ...]) -> int:
-    key = 0
-    for pos, digit in enumerate(m):
-        key |= digit << (2 * pos)
-    return key
+def _trace_totals(invariant: str, strands: int,
+                  seqs: Sequence[tuple[int, ...]], columns: Sequence[int],
+                  middles: Sequence[tuple[int, ...]]) -> list[dict]:
+    """Raw accumulators {(a, c): O[a, c]} per sequence, over the given middles.
 
-
-# --- public state-level API --------------------------------------------------
-
-class StateVector:
-    """Sparse vector in the n-fold tensor power of V, exact amplitudes."""
-
-    __slots__ = ("strands", "dim", "kind", "_raw")
-
-    def __init__(self, strands: int, dim: int, kind: str, raw: dict) -> None:
-        self.strands = strands
-        self.dim = dim
-        self.kind = kind
-        self._raw = raw
-
-    @classmethod
-    def basis(cls, strands: int, index: tuple[int, ...],
-              invariant: str) -> "StateVector":
-        _, _, _, kind, d = _BUILDERS[invariant]
-        if len(index) != strands or any(not 0 <= i < d for i in index):
-            raise ValueError(f"index {index} invalid for {strands} strands, dim {d}")
-        return cls(strands, d, kind, {_pack(index): _KERNELS[kind].one()})
-
-    def amplitudes(self) -> dict[tuple[int, ...], object]:
-        """Unpacked {multi-index: ring element} view, zero amplitudes dropped."""
-        kernel = _KERNELS[self.kind]
-        out = {}
-        for key, amp in self._raw.items():
-            idx = tuple((key >> (2 * s)) & 3 for s in range(self.strands))
-            value = kernel.wrap(amp)
-            if value:
-                out[idx] = value
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, StateVector)
-                and self.strands == other.strands
-                and self.kind == other.kind
-                and self.amplitudes() == other.amplitudes())
-
-
-def _kind_of_values(values) -> str:
-    first = next((v for v in values if v), None)
-    if isinstance(first, LaurentPoly1):
-        return "cyc"
-    if isinstance(first, ExtScalar):
-        return "ext1" if isinstance(first.even, LaurentPoly1) else "ext2"
-    raise TypeError(f"unsupported ring element {type(first).__name__}")
-
-
-def apply_local(state: StateVector, op: LocalOperator, position: int) -> StateVector:
-    """Apply a two-strand operator at strands (position, position + 1)."""
-    if not 1 <= position < state.strands:
-        raise ValueError(f"position {position} invalid for {state.strands} strands")
-    kernel = _KERNELS[state.kind]
-    shift = 2 * (position - 1)
-    table = _table16(op, state.dim, shift, state.kind)
-    raw = kernel.apply(state._raw, shift, table)
-    return StateVector(state.strands, state.dim, state.kind, raw)
-
-
-def braid_action(b: BraidWord, state: StateVector, r: LocalOperator,
-                 rinv: LocalOperator) -> StateVector:
-    """Push a state through a braid word (bottom-up; +k acts by r, -k by rinv)."""
-    if b.strands != state.strands:
-        raise ValueError("strand count mismatch")
-    kernel = _KERNELS[state.kind]
-    tables = compile_letter_tables(r, rinv, state.dim, b.strands, state.kind)
-    raw = evolve_state(state._raw, b.word, tables, kernel)
-    return StateVector(state.strands, state.dim, state.kind, raw)
-
-
-# --- closure scalars ---------------------------------------------------------
-
-def _trace_core(b: BraidWord, tables, kernel: _Kernel, d: int,
-                mons: list[tuple], *, paranoid: bool, open_strand: str):
-    """Shared partial-trace loop; returns the raw proportionality scalar."""
-    n = b.strands
-    open_shift = 0 if open_strand == "first" else 2 * (n - 1)
-    mid_shift = 2 if open_strand == "first" else 0
-    columns = range(d) if paranoid else (0,)
-    totals = {(a, c): kernel.fresh_total() for a in range(d) for c in columns}
-    for m in product(range(d), repeat=n - 1):
-        wterms = _middle_weight(kernel.kind, mons, m)
-        mkey = _pack(m) << mid_shift
-        for c in columns:
-            key0 = mkey | (c << open_shift)
-            state = evolve_state({key0: kernel.one()}, b.word, tables, kernel)
-            for a in range(d):
-                amp = state.get(mkey | (a << open_shift))
-                if amp:
-                    kernel.acc_weighted(totals[(a, c)], amp, wterms)
-    for (a, c), total in totals.items():
-        if a != c and not kernel.total_is_zero(total):
-            raise ProportionalityError(
-                f"closure operator of {b} has a nonzero off-diagonal block "
-                f"({a}, {c}): {kernel.wrap(total)}")
-    scalar = kernel.wrap(totals[(0, 0)])
-    if paranoid:
-        for a in range(1, d):
-            if kernel.wrap(totals[(a, a)]) != scalar:
-                raise ProportionalityError(
-                    f"closure operator of {b} is diagonal but not scalar "
-                    f"(block {a} differs)")
-    return scalar
-
-
-def _closure_scalar(b: BraidWord, invariant: str, *, paranoid: bool = False,
-                    open_strand: str = "first"):
-    _, _, _, kind, d = _BUILDERS[invariant]
-    return _trace_core(b, _tables_for(invariant, b.strands), _KERNELS[kind], d,
-                       _weight_monomials(invariant), paranoid=paranoid,
-                       open_strand=open_strand)
-
-
-def partial_trace_scalar(b: BraidWord, r: LocalOperator, rinv: LocalOperator,
-                         h: DiagonalOperator, *, paranoid: bool = False):
-    """Weighted partial trace over strands 2..n of the braid representation.
-
-    Generic-operator variant of the compute_* functions: compiles the given
-    operators instead of the built-in ones and returns the proportionality
-    scalar as a public ring element.
+    For each middle m and column c the basis state (c, m) is walked through
+    the trie depth first; a node's last child continues in the same frame, so
+    a single-child chain holds only the current state.
     """
-    kind = _kind_of_values(h.values)
-    kernel = _KERNELS[kind]
-    tables = compile_letter_tables(r, rinv, h.dim, max(b.strands, 2), kind)
-    mons = _compile_weights(h, kind)
-    return _trace_core(b, tables, kernel, h.dim, mons, paranoid=paranoid,
-                       open_strand="first")
+    _, _, _, kernel, d = _BUILDERS[invariant]
+    tables = _tables_for(invariant, strands)
+    mons = _weight_monomials(invariant)
+    root = _build_trie(seqs)
+    totals = [{(a, c): kernel.zero() for a in range(d) for c in columns}
+              for _ in seqs]
+    apply, accumulate = kernel.apply, kernel.accumulate
+
+    def walk(node: _Node, state: dict, reach: int) -> None:
+        # reads target, c and weight of the middle and column being walked
+        while True:
+            if node.slot is not None:
+                acc = totals[node.slot]
+                for a in range(d):
+                    amp = state.get(target | a)
+                    if amp:
+                        accumulate(acc[(a, c)], amp, weight)
+            children = node.children
+            if not children:
+                return
+            if node.reach < reach:
+                # strands above reach + 1 are frozen from here on
+                reach = node.reach
+                shift = 2 * reach + 2
+                frozen = target >> shift
+                state = {k: v for k, v in state.items() if k >> shift == frozen}
+            for letter, child in children[:-1]:
+                shift, table = tables[letter]
+                walk(child, apply(state, shift, table), reach)
+            letter, node = children[-1]
+            shift, table = tables[letter]
+            state = apply(state, shift, table)
+
+    top = strands - 1 if len(seqs) > 1 else 0   # reach 0 can never drop
+    for m in middles:
+        weight = kernel.weight(mons, m)
+        # the key of (0, m): strand s + 2 holds digit m[s]
+        target = sum(digit << (2 * s + 2) for s, digit in enumerate(m))
+        for c in columns:
+            walk(root, {target | c: kernel.one()}, top)
+    return totals
+
+
+def _finalize(invariant: str, braid: BraidWord, totals: dict,
+              columns: Sequence[int]):
+    """Proportionality and odd-part checks, then the invariant value."""
+    kernel = _BUILDERS[invariant][3]
+    for (a, c), total in totals.items():
+        if a != c and not kernel.is_zero(total):
+            raise ProportionalityError(
+                f"{invariant} closure operator of {braid} has a nonzero "
+                f"off-diagonal block ({a}, {c}): {kernel.wrap(total)}")
+    scalar = kernel.wrap(totals[(0, 0)])
+    for c in columns:
+        if c and kernel.wrap(totals[(c, c)]) != scalar:
+            raise ProportionalityError(
+                f"{invariant} closure operator of {braid} is diagonal but not "
+                f"scalar (block {c} differs)")
+    if not isinstance(scalar, ExtScalar):
+        return scalar
+    if scalar.odd:
+        raise ProportionalityError(
+            f"{invariant} scalar of {braid} has a nonzero odd part: {scalar.odd}")
+    return scalar.even
+
+
+def closure_values(invariant: str, braids: Sequence[BraidWord], *,
+                   paranoid: bool = False, pool=None, jobs: int = 1) -> list:
+    """Exact invariant values of the closures of braids on one strand count.
+
+    All braids go through one trie walk.  With a pool and jobs > 1 the middle
+    indices are split into ``jobs`` chunks whose raw totals are summed.
+    """
+    if not braids:
+        return []
+    strands = braids[0].strands
+    if any(b.strands != strands for b in braids):
+        raise ValueError("braids of one trace must share a strand count")
+    kernel, d = _BUILDERS[invariant][3:]
+    unique: dict[tuple[int, ...], BraidWord] = {}
+    for b in braids:
+        unique.setdefault(b.word, b)
+    seqs = list(unique)
+    columns = tuple(range(d)) if paranoid else (0,)
+    middles = list(product(range(d), repeat=strands - 1))
+    if pool is not None and jobs > 1:
+        parts = pool.starmap(_trace_totals, [
+            (invariant, strands, seqs, columns, middles[i::jobs])
+            for i in range(min(jobs, len(middles)))])
+        totals = parts[0]
+        for part in parts[1:]:
+            for dst, src in zip(totals, part):
+                for ac, total in src.items():
+                    kernel.add(dst[ac], total)
+    else:
+        totals = _trace_totals(invariant, strands, seqs, columns, middles)
+    value_of = {word: _finalize(invariant, b, total, columns)
+                for (word, b), total in zip(unique.items(), totals)}
+    return [value_of[b.word] for b in braids]
+
+
+def _compute(invariant: str, b: BraidWord, paranoid: bool) -> InvariantValue:
+    (value,) = closure_values(invariant, [b], paranoid=paranoid)
+    return InvariantValue(braid=b, kind=invariant, value=value, paranoid=paranoid)
 
 
 def compute_ado3(b: BraidWord, *, paranoid: bool = False) -> InvariantValue:
     """Third colored Alexander invariant of the closure of b."""
-    value = _closure_scalar(b, "ado3", paranoid=paranoid)
-    return InvariantValue(braid=b, kind="ado3", value=value, paranoid=paranoid)
+    return _compute("ado3", b, paranoid)
 
 
 def compute_lg(b: BraidWord, *, paranoid: bool = False) -> InvariantValue:
     """Links-Gould invariant, generic two variables.
 
     The raw scalar lives in the Y-extension; for closures the odd part
-    vanishes and the even part is the invariant.  A nonzero odd part would
-    mean the trace is not the link invariant it is supposed to be, so it is a
+    vanishes and the even part is the invariant.  A nonzero odd part is a
     hard error, like the proportionality check.
     """
-    scalar = _closure_scalar(b, "lg", paranoid=paranoid)
-    if scalar.odd:
-        raise ProportionalityError(
-            f"Links-Gould scalar of {b} has a nonzero odd part: {scalar.odd}")
-    return InvariantValue(braid=b, kind="lg", value=scalar.even, paranoid=paranoid)
+    return _compute("lg", b, paranoid)
 
 
 def compute_lg_specialized(b: BraidWord, *, paranoid: bool = False) -> InvariantValue:
     """Links-Gould at t0 = t**2, t1 = w**2 t**-2, computed in one variable."""
-    scalar = _closure_scalar(b, "lg-spec", paranoid=paranoid)
-    if scalar.odd:
-        raise ProportionalityError(
-            f"specialized Links-Gould scalar of {b} has a nonzero odd part")
-    return InvariantValue(braid=b, kind="lg-spec", value=scalar.even,
-                          paranoid=paranoid)
+    return _compute("lg-spec", b, paranoid)

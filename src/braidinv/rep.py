@@ -33,7 +33,6 @@ from .ring import (
     LaurentPoly1,
     LaurentPoly2,
     ext_generic,
-    ext_specialized,
     specialize,
 )
 
@@ -148,13 +147,6 @@ class LocalOperator:
     def map_values(self, fn: Callable[[object], object]) -> "LocalOperator":
         return LocalOperator(self.size,
                              {rc: fn(v) for rc, v in self._entries.items()})
-
-    def text_dump(self) -> str:
-        lines = [f"size {self.size}, {self.nnz()} nonzero"]
-        width = len(str(self.size - 1))
-        for r, c, v in self.entries():
-            lines.append(f"  [{r:>{width}},{c:>{width}}] {v}")
-        return "\n".join(lines)
 
 
 def tensor(a: LocalOperator, b: LocalOperator) -> LocalOperator:

@@ -301,16 +301,6 @@ class LaurentPoly1:
             n >>= 1
         return result
 
-    def min_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no degree")
-        return min(self._terms)
-
-    def max_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
-
     def is_unit_monomial(self) -> bool:
         """True iff the polynomial is u * t**k with u a unit of Z[w]."""
         if len(self._terms) != 1:
@@ -553,9 +543,6 @@ class ExtScalar:
 
     def __bool__(self) -> bool:
         return bool(self.even) or bool(self.odd)
-
-    def is_even(self) -> bool:
-        return not self.odd
 
     def y_conjugate(self) -> "ExtScalar":
         """The automorphism Y -> -Y; invariant values must be fixed by it."""

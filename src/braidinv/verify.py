@@ -4,18 +4,16 @@ The headline computation is ``run_equality_sweep``: for a list of check words
 it computes the colored Alexander invariant and the specialized Links-Gould
 invariant of every closure and records whether they are equal, with the exact
 difference polynomial when they are not.  The 6480-word five-strand sweep is
-feasible in exact arithmetic because of three structural facts:
+feasible in exact arithmetic because each family's words go through one trie
+walk of the trace engine (``invariant.closure_values``):
 
-* all words of a family share the family's fixed part, so per middle index the
-  evolution of the fixed part is computed once (the prefix cache);
-* the suffixes factor as u * w with u from the 27-element set U and w from the
-  24-element symmetric-group list, so u-evolutions are shared among each group
-  of 24 words, and both layers are walked as prefix tries (words sharing a
-  leading segment share its evolution too);
-* a braid letter k touches only strands k, k+1, so once the remaining letters
-  are bounded (suffix letters <= 3, then final letters <= 2) the digits of the
-  higher strands are frozen and states off the target middle index can be
-  dropped exactly.
+* all words of a family share the family's fixed part, so per middle index and
+  column its evolution is the trie's trunk and is computed once;
+* suffixes that share leading letters share their evolution too, and the
+  repeated letter sequences among the 648 S4 elements share one node;
+* a braid letter k touches only strands k, k+1, so wherever the largest
+  remaining |letter| drops, the digits of the strands above it are frozen and
+  states off the target middle index are dropped exactly.
 
 Identity checks (cubic relations, Yang-Baxter, the two-parameter relation of
 the denominator-cleared skein operators) are direct sparse-matrix computations
@@ -28,25 +26,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product
-from multiprocessing import get_context
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .braid import BraidWord
-from .hecke import CheckWord, U_WORDS, _s3_letters, family_words
-from .invariant import (
-    _BUILDERS,
-    _KERNELS,
-    _middle_weight,
-    _pack,
-    _tables_for,
-    _weight_monomials,
-    ProportionalityError,
-    StateVector,
-    braid_action,
-    compute_lg,
-    evolve_state,
-)
+from .hecke import CheckWord
+from .invariant import _BUILDERS, closure_values, compute_lg
 from .rep import (
     LocalOperator,
     ado_cubic_coeffs,
@@ -55,7 +39,6 @@ from .rep import (
     build_lg_r,
     build_lg_r_inverse,
     build_lg_r_specialized,
-    build_lg_r_inverse_specialized,
     build_q_operators,
     lg_cubic_coeffs,
     lg_specialized_cubic_coeffs,
@@ -67,7 +50,6 @@ from .ring import (
     LaurentPoly1,
     LaurentPoly2,
     ext_generic,
-    ext_specialized,
     specialize,
 )
 
@@ -132,15 +114,9 @@ def check_skein_lg() -> CheckResult:
 
 def check_yang_baxter(which: str) -> CheckResult:
     """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R) on three strands."""
-    builders = {
-        "ado3": (build_ado3_r, 3),
-        "lg": (build_lg_r, 4),
-        "lg-spec": (build_lg_r_specialized, 4),
-    }
-
     def body():
-        build, d = builders[which]
-        r = build()
+        build_r, _, _, _, d = _BUILDERS[which]
+        r = build_r()
         ident = LocalOperator.identity(d, operator_one(r))
         a = tensor(r, ident)
         b = tensor(ident, r)
@@ -184,209 +160,7 @@ def check_ishii_relation(specialized: bool = False) -> CheckResult:
     return _timed(name, body)
 
 
-# --- prefix cache -------------------------------------------------------------
-
-class PrefixCache:
-    """Cached evolution of one family's fixed part, per basis multi-index.
-
-    Maps an input basis multi-index of the full strand count to the state the
-    fixed word sends it to.  ``spot_check`` recomputes entries through the
-    public braid action to guard the cached fast path.
-    """
-
-    def __init__(self, family: str, invariant: str) -> None:
-        self.family = family
-        self.invariant = invariant
-        self.prefix = family_words(family)[0].prefix
-        self.strands = self.prefix.strands
-        _, _, _, kind, d = _BUILDERS[invariant]
-        self.kind = kind
-        self.dim = d
-        self._raw: dict[tuple[int, ...], dict] = {}
-
-    def raw_state(self, index: tuple[int, ...]) -> dict:
-        cached = self._raw.get(index)
-        if cached is None:
-            kernel = _KERNELS[self.kind]
-            tables = _tables_for(self.invariant, self.strands)
-            cached = evolve_state({_pack(index): kernel.one()},
-                                  self.prefix.word, tables, kernel)
-            self._raw[index] = cached
-        return cached
-
-    def state(self, index: tuple[int, ...]) -> StateVector:
-        return StateVector(self.strands, self.dim, self.kind,
-                           dict(self.raw_state(index)))
-
-    def spot_check(self, indices: Iterable[tuple[int, ...]]) -> bool:
-        builders = {"ado3": (build_ado3_r, build_ado3_r_inverse),
-                    "lg": (build_lg_r, build_lg_r_inverse),
-                    "lg-spec": (build_lg_r_specialized,
-                                build_lg_r_inverse_specialized)}
-        build_r, build_rinv = builders[self.invariant]
-        for index in indices:
-            direct = braid_action(self.prefix,
-                                  StateVector.basis(self.strands, index,
-                                                    self.invariant),
-                                  build_r(), build_rinv())
-            if direct != self.state(index):
-                return False
-        return True
-
-
 # --- the equality sweep -------------------------------------------------------
-
-_S3_WORDS = _s3_letters()
-
-
-def _word_trie(indexed_words: Iterable[tuple[int, tuple[int, ...]]]):
-    """Prefix trie: node = (terminal word indices, {letter: child})."""
-    root: tuple[list, dict] = ([], {})
-    for idx, word in indexed_words:
-        node = root
-        for letter in word:
-            node = node[1].setdefault(letter, ([], {}))
-        node[0].append(idx)
-    return root
-
-
-def _trie_evolve(state: dict, node, tables, kernel, visit) -> None:
-    """DFS the trie, sharing letter applications along common prefixes."""
-    for idx in node[0]:
-        visit(idx, state)
-    for letter, child in node[1].items():
-        shift, table = tables[letter]
-        _trie_evolve(kernel.apply(state, shift, table), child, tables,
-                     kernel, visit)
-
-
-def _freeze(state: dict, checks: tuple[tuple[int, int], ...]) -> dict:
-    """Drop states whose frozen strand digits moved off the middle index."""
-    if not checks:
-        return state
-    out = {}
-    for key, amp in state.items():
-        for shift, digit in checks:
-            if (key >> shift) & 3 != digit:
-                break
-        else:
-            out[key] = amp
-    return out
-
-
-def _family_totals(invariant: str, family: str, columns: Sequence[int],
-                   middles: Sequence[tuple[int, ...]],
-                   needed: Sequence[int]) -> dict[int, dict]:
-    """Raw accumulators O[a, c] per needed word, over the given middles.
-
-    Staged evolution: family prefix once per middle (via PrefixCache), then a
-    trie over the needed u-words, then per u a trie over the needed w-words.
-    Returns {word index: {(a, c): raw total}}.
-    """
-    n = family_words(family)[0].full.strands
-    _, _, _, kind, d = _BUILDERS[invariant]
-    kernel = _KERNELS[kind]
-    tables = _tables_for(invariant, n)
-    mons = _weight_monomials(invariant)
-    cache = PrefixCache(family, invariant)
-    by_u: dict[int, list[int]] = {}
-    for wi in needed:
-        by_u.setdefault(wi // 24, []).append(wi % 24)
-    u_trie = _word_trie((u, U_WORDS[u]) for u in sorted(by_u))
-    w_tries = {u: _word_trie((w, _S3_WORDS[w]) for w in sorted(ws))
-               for u, ws in by_u.items()}
-    # strands untouched by the remaining letters, as (bit shift, middle slot):
-    # suffix letters are <= 3 (strands <= 4), w letters are <= 2 (strands <= 3)
-    after_prefix = tuple((2 * s, s - 1) for s in range(4, n))
-    after_u = tuple((2 * s, s - 1) for s in range(3, n))
-    totals = {wi: {(a, c): kernel.fresh_total()
-                   for a in range(d) for c in columns}
-              for wi in needed}
-    for m in middles:
-        wterms = _middle_weight(kind, mons, m)
-        mkey = _pack(m) << 2
-        prefix_checks = tuple((sh, m[slot]) for sh, slot in after_prefix)
-        u_checks = tuple((sh, m[slot]) for sh, slot in after_u)
-        for c in columns:
-            base = _freeze(cache.raw_state((c,) + m), prefix_checks)
-
-            def visit_u(u_idx: int, u_state: dict) -> None:
-                u_state = _freeze(u_state, u_checks)
-
-                def visit_w(w_idx: int, w_state: dict) -> None:
-                    word_totals = totals[24 * u_idx + w_idx]
-                    for a in range(d):
-                        amp = w_state.get(mkey | a)
-                        if amp:
-                            kernel.acc_weighted(word_totals[(a, c)], amp, wterms)
-
-                _trie_evolve(u_state, w_tries[u_idx], tables, kernel, visit_w)
-
-            _trie_evolve(base, u_trie, tables, kernel, visit_u)
-    return totals
-
-
-def _finalize_word(invariant: str, cw: CheckWord, word_totals: dict,
-                   columns: Sequence[int]):
-    """Proportionality checks plus the scalar, from raw accumulators."""
-    _, _, _, kind, _ = _BUILDERS[invariant]
-    kernel = _KERNELS[kind]
-    for (a, c), total in word_totals.items():
-        if a != c and not kernel.total_is_zero(total):
-            raise ProportionalityError(
-                f"{invariant} closure operator of {cw.full} has a nonzero "
-                f"off-diagonal block ({a}, {c})")
-    scalar = kernel.wrap(word_totals[(0, 0)])
-    for c in columns:
-        if c and kernel.wrap(word_totals[(c, c)]) != scalar:
-            raise ProportionalityError(
-                f"{invariant} closure operator of {cw.full} is not scalar")
-    if kind == "cyc":
-        return scalar
-    if scalar.odd:
-        raise ProportionalityError(
-            f"{invariant} value of {cw.full} has a nonzero odd part")
-    return scalar.even
-
-
-def _merge_total(kind: str, dst, src) -> None:
-    kernel = _KERNELS[kind]
-    one = ((0, 1, 0),) if kind in ("cyc", "ext1") else ((0, 0, 1),)
-    if kind == "cyc":
-        kernel.conv(dst, src, one)
-    else:
-        kernel.acc_weighted(dst, src, one)
-
-
-def _sweep_task(args):
-    """Pool worker: totals for one (invariant, family, middle chunk)."""
-    invariant, family, columns, middles, needed = args
-    return _family_totals(invariant, family, columns, middles, needed)
-
-
-def _family_values(invariant: str, family: str, needed: Sequence[int], *,
-                   paranoid: bool, jobs: int = 1, pool=None) -> dict[int, object]:
-    """Exact invariant values {word index: value} for the needed family words."""
-    words = family_words(family)
-    n = words[0].full.strands
-    _, _, _, kind, d = _BUILDERS[invariant]
-    columns = tuple(range(d)) if paranoid else (0,)
-    middles = list(product(range(d), repeat=n - 1))
-    if pool is not None and jobs > 1:
-        chunks = [middles[i::jobs] for i in range(jobs)]
-        parts = pool.map(_sweep_task,
-                         [(invariant, family, columns, chunk, tuple(needed))
-                          for chunk in chunks if chunk])
-        totals = parts[0]
-        for part in parts[1:]:
-            for wi, extra in part.items():
-                for ac, total in extra.items():
-                    _merge_total(kind, totals[wi][ac], total)
-    else:
-        totals = _family_totals(invariant, family, columns, middles, needed)
-    return {wi: _finalize_word(invariant, words[wi], wt, columns)
-            for wi, wt in totals.items()}
-
 
 @dataclass
 class SweepEntry:
@@ -464,20 +238,21 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
                        progress: Callable[[str], None] | None = None) -> SweepReport:
     """Compare the two invariants on check words, family by family.
 
-    Words are grouped by family and each family is swept with the shared
-    prefix/u/w staging, for the colored Alexander and the specialized
-    Links-Gould invariant in turn.  A deterministic subset of the input
-    (every round(1/audit_fraction)-th word, by position) is audited by the
-    generic two-variable computation followed by specialization.
+    Each family's words go through one trie walk per invariant, for the
+    colored Alexander and the specialized Links-Gould invariant in turn.  A
+    deterministic subset of the input (every round(1/audit_fraction)-th word,
+    by position) is audited by the generic two-variable computation followed
+    by specialization.
     """
     report = SweepReport(paranoid=paranoid)
     report.audit_every = round(1 / audit_fraction) if audit_fraction > 0 else 0
     start_all = time.perf_counter()
-    by_family: dict[str, list[CheckWord]] = {}
-    for cw in words:
-        by_family.setdefault(cw.family, []).append(cw)
+    by_family: dict[str, list[tuple[int, CheckWord]]] = {}
+    for pos, cw in enumerate(words):
+        by_family.setdefault(cw.family, []).append((pos, cw))
     pool = None
     if jobs > 1:
+        from multiprocessing import get_context
         # fork shares the compiled operator tables copy-on-write and keeps
         # workers usable from interactive __main__-less sessions
         try:
@@ -487,25 +262,24 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
         pool = ctx.Pool(jobs)
     try:
         entries: dict[int, SweepEntry] = {}
-        positions = {(cw.family, cw.index): pos for pos, cw in enumerate(words)}
         for family, fam_words in by_family.items():
             t0 = time.perf_counter()
-            needed = sorted(cw.index for cw in fam_words)
-            ado_vals = _family_values("ado3", family, needed,
-                                      paranoid=paranoid, jobs=jobs, pool=pool)
+            braids = [cw.full for _, cw in fam_words]
+            ado_vals = closure_values("ado3", braids, paranoid=paranoid,
+                                      pool=pool, jobs=jobs)
             if progress:
                 progress(f"{family}: colored Alexander pass done "
                          f"({time.perf_counter() - t0:.1f}s)")
             t1 = time.perf_counter()
-            lgs_vals = _family_values("lg-spec", family, needed,
-                                      paranoid=paranoid, jobs=jobs, pool=pool)
+            lgs_vals = closure_values("lg-spec", braids, paranoid=paranoid,
+                                      pool=pool, jobs=jobs)
             if progress:
                 progress(f"{family}: specialized Links-Gould pass done "
                          f"({time.perf_counter() - t1:.1f}s)")
-            for cw in fam_words:
-                entries[positions[(cw.family, cw.index)]] = SweepEntry(
-                    braid=cw.full, family=cw.family, index=cw.index,
-                    ado3=ado_vals[cw.index], lg_specialized=lgs_vals[cw.index])
+            for (pos, cw), ado, lgs in zip(fam_words, ado_vals, lgs_vals):
+                entries[pos] = SweepEntry(braid=cw.full, family=cw.family,
+                                          index=cw.index, ado3=ado,
+                                          lg_specialized=lgs)
             report.timing[family] = time.perf_counter() - t0
         report.entries = [entries[pos] for pos in sorted(entries)]
         if report.audit_every:

@@ -116,6 +116,13 @@ class TestVerify:
             cli.main(["verify", "--suite", "relations", "--jobs", "0"])
         assert exc.value.code == 2
 
+    def test_audit_validation(self, capsys):
+        for bad in ("5", "-1", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--suite", "s4", "--audit", bad])
+            assert exc.value.code == 2
+            assert "--audit" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_writes_family_files(self, capsys, tmp_path):

@@ -1,32 +1,20 @@
-"""The closure-invariant engine: states, braid action, weighted traces."""
+"""The closure-invariant engine: letter tables, the trie walk, traces."""
 
-import random
+from itertools import product
 
 import pytest
 
+from braidinv import invariant
 from braidinv.braid import BraidWord, parse_braid
 from braidinv.invariant import (
+    _BUILDERS,
     ProportionalityError,
-    StateVector,
-    _closure_scalar,
-    apply_local,
-    braid_action,
+    _build_trie,
+    _tables_for,
+    closure_values,
     compute_ado3,
     compute_lg,
     compute_lg_specialized,
-    partial_trace_scalar,
-)
-from braidinv.rep import (
-    DiagonalOperator,
-    build_ado3_h,
-    build_ado3_r,
-    build_ado3_r_inverse,
-    build_lg_h,
-    build_lg_h_specialized,
-    build_lg_r,
-    build_lg_r_inverse,
-    build_lg_r_inverse_specialized,
-    build_lg_r_specialized,
 )
 from braidinv.ring import (
     CycScalar,
@@ -35,7 +23,6 @@ from braidinv.ring import (
     parse_poly,
     specialize,
 )
-from support import random_braid
 
 
 W = CycScalar.omega()
@@ -115,106 +102,102 @@ class TestFixtures:
         assert out.paranoid
 
 
+def _basis(inv, index):
+    """The raw basis state of a multi-index, amplitude 1."""
+    key = sum(digit << (2 * s) for s, digit in enumerate(index))
+    return {key: _BUILDERS[inv][3].one()}
+
+
+def _evolve(inv, strands, word, state):
+    kernel = _BUILDERS[inv][3]
+    tables = _tables_for(inv, strands)
+    for letter in word:
+        state = kernel.apply(state, *tables[letter])
+    return state
+
+
+def _amplitudes(inv, strands, state):
+    """Unpacked {multi-index: ring element} view of a raw state."""
+    kernel = _BUILDERS[inv][3]
+    return {tuple((key >> (2 * s)) & 3 for s in range(strands)): kernel.wrap(amp)
+            for key, amp in state.items()}
+
+
 class TestStates:
-    def test_basis_validation(self):
-        s = StateVector.basis(3, (0, 2, 1), "ado3")
-        assert s.amplitudes() == {(0, 2, 1): LaurentPoly1.one()}
-        with pytest.raises(ValueError):
-            StateVector.basis(3, (0, 1), "ado3")
-        with pytest.raises(ValueError):
-            StateVector.basis(2, (0, 3), "ado3")     # dim 3 has digits 0..2
-
     def test_apply_local_identity_examples(self):
-        s = StateVector.basis(2, (0, 0), "ado3")
-        out = apply_local(s, build_ado3_r(), 1)
-        assert out.amplitudes() == {(0, 0): LaurentPoly1.t_power(2)}
+        out = _evolve("ado3", 2, (1,), _basis("ado3", (0, 0)))
+        assert _amplitudes("ado3", 2, out) == {(0, 0): LaurentPoly1.t_power(2)}
 
-        s = StateVector.basis(2, (0, 1), "lg")
-        out = apply_local(s, build_lg_r(), 1)
-        (idx, amp), = out.amplitudes().items()
+        out = _evolve("lg", 2, (1,), _basis("lg", (0, 1)))
+        (idx, amp), = _amplitudes("lg", 2, out).items()
         assert idx == (1, 0)
         assert amp.even == LaurentPoly2.monomial(1, 0)
 
     def test_apply_local_deeper_position(self):
-        # letter at position 2 must leave strand 1 untouched
-        s = StateVector.basis(3, (0, 1, 2), "ado3")
-        out = apply_local(s, build_ado3_r(), 2)
-        assert set(out.amplitudes()) == {(0, 1, 2), (0, 2, 1)}
-
-    def test_apply_local_position_range(self):
-        s = StateVector.basis(2, (0, 0), "ado3")
-        with pytest.raises(ValueError):
-            apply_local(s, build_ado3_r(), 0)
-        with pytest.raises(ValueError):
-            apply_local(s, build_ado3_r(), 2)
+        # letter 2 must leave strand 1 untouched
+        out = _evolve("ado3", 3, (2,), _basis("ado3", (0, 1, 2)))
+        assert set(_amplitudes("ado3", 3, out)) == {(0, 1, 2), (0, 2, 1)}
 
     def test_braid_action_empty_word(self):
-        s = StateVector.basis(4, (0, 1, 2, 0), "ado3")
-        out = braid_action(BraidWord(4, ()), s,
-                           build_ado3_r(), build_ado3_r_inverse())
-        assert out == s
+        # the empty word is a leaf at the trie root, next to longer words
+        for inv in ("ado3", "lg", "lg-spec"):
+            empty, cancel, other = closure_values(
+                inv, [BraidWord(3, ()), BraidWord(3, (1, -1)),
+                      BraidWord(3, (1,))])
+            assert not empty and not cancel
+            assert other == closure_values(inv, [BraidWord(3, (1,))])[0]
 
     def test_braid_action_cancelling_letters(self):
-        r, rinv = build_ado3_r(), build_ado3_r_inverse()
         for k in (1, 2, -1, -2):
-            b = BraidWord(3, (k, -k))
             for idx in ((0, 0, 0), (1, 2, 0), (2, 2, 2)):
-                s = StateVector.basis(3, idx, "ado3")
-                assert braid_action(b, s, r, rinv) == s
+                s = _basis("ado3", idx)
+                assert _amplitudes("ado3", 3, _evolve("ado3", 3, (k, -k), s)) \
+                    == _amplitudes("ado3", 3, s)
 
     def test_braid_relation_ado3(self):
         # sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 on every basis state
-        r, rinv = build_ado3_r(), build_ado3_r_inverse()
-        left = BraidWord(3, (1, 2, 1))
-        right = BraidWord(3, (2, 1, 2))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    s = StateVector.basis(3, (i, j, k), "ado3")
-                    assert braid_action(left, s, r, rinv) == \
-                        braid_action(right, s, r, rinv)
+        for idx in product(range(3), repeat=3):
+            s = _basis("ado3", idx)
+            assert _amplitudes("ado3", 3, _evolve("ado3", 3, (1, 2, 1), s)) == \
+                _amplitudes("ado3", 3, _evolve("ado3", 3, (2, 1, 2), s))
 
     def test_braid_relation_lg(self):
-        r, rinv = build_lg_r(), build_lg_r_inverse()
-        left = BraidWord(3, (1, 2, 1))
-        right = BraidWord(3, (2, 1, 2))
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    s = StateVector.basis(3, (i, j, k), "lg")
-                    assert braid_action(left, s, r, rinv) == \
-                        braid_action(right, s, r, rinv)
+        for idx in product(range(4), repeat=3):
+            s = _basis("lg", idx)
+            assert _amplitudes("lg", 3, _evolve("lg", 3, (1, 2, 1), s)) == \
+                _amplitudes("lg", 3, _evolve("lg", 3, (2, 1, 2), s))
 
     def test_strand_count_mismatch(self):
-        s = StateVector.basis(2, (0, 0), "ado3")
         with pytest.raises(ValueError):
-            braid_action(BraidWord(3, (1,)), s,
-                         build_ado3_r(), build_ado3_r_inverse())
+            closure_values("ado3", [BraidWord(2, (1,)), BraidWord(3, (1,))])
+
+
+class TestTrie:
+    # on four strands: two indices with one letter sequence, a word that is
+    # a prefix of two others whose branches reach different strands, and a
+    # word whose reach drops twice (3 -> 2 -> 1)
+    WORDS = [BraidWord(4, w) for w in
+             ((2, 1), (2, 1), (3, -1), (3, -1, 3, 2), (3, -1, 2, 1),
+              (3, 2, -1, 2, 1))]
+
+    def test_reach_drops_twice(self):
+        node = _build_trie([self.WORDS[-1].word])
+        reaches = [node.reach]
+        while node.children:
+            node = node.children[0][1]
+            reaches.append(node.reach)
+        assert reaches == [3, 2, 2, 2, 1, 0]
+
+    def test_trie_matches_single_words(self):
+        for inv in ("ado3", "lg", "lg-spec"):
+            values = closure_values(inv, self.WORDS, paranoid=True)
+            alone = [closure_values(inv, [b], paranoid=True)[0]
+                     for b in self.WORDS]
+            assert values == alone, inv
+            assert values[0] == values[1]
 
 
 class TestPartialTrace:
-    def test_matches_builtin_ado3(self):
-        rng = random.Random(53)
-        r, rinv, h = build_ado3_r(), build_ado3_r_inverse(), build_ado3_h()
-        for _ in range(10):
-            b = random_braid(rng, max_strands=3, max_len=8)
-            assert partial_trace_scalar(b, r, rinv, h) == \
-                compute_ado3(b).value
-
-    def test_matches_builtin_lg_both_modes(self):
-        rng = random.Random(59)
-        generic = (build_lg_r(), build_lg_r_inverse(), build_lg_h())
-        spec = (build_lg_r_specialized(), build_lg_r_inverse_specialized(),
-                build_lg_h_specialized())
-        for _ in range(5):
-            b = random_braid(rng, max_strands=3, max_len=6)
-            scalar = partial_trace_scalar(b, *generic)
-            assert not scalar.odd
-            assert scalar.even == compute_lg(b).value
-            scalar = partial_trace_scalar(b, *spec)
-            assert not scalar.odd
-            assert scalar.even == compute_lg_specialized(b).value
-
     def test_paranoid_smoke(self):
         for b in (TREFOIL, HOPF, FIG8):
             assert compute_ado3(b, paranoid=True).value == \
@@ -223,17 +206,18 @@ class TestPartialTrace:
                 compute_lg_specialized(b).value
             assert compute_lg(b, paranoid=True).value == compute_lg(b).value
 
-    def test_paranoid_rejects_wrong_weights(self):
+    def test_paranoid_rejects_wrong_weights(self, monkeypatch):
         # a wrong h keeps the off-diagonal blocks zero (they vanish by the
         # grading), so only the paranoid diagonal comparison can catch it
-        r, rinv = build_ado3_r(), build_ado3_r_inverse()
-        bad = DiagonalOperator((LaurentPoly1.t_power(2),
-                                LaurentPoly1.t_power(2),
-                                LaurentPoly1.t_power(2, -W)))
+        bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
+               LaurentPoly1.t_power(2, -W))
+        kernel = _BUILDERS["ado3"][3]
+        monkeypatch.setattr(invariant, "_weight_monomials",
+                            lambda inv: [kernel.terms(v)[0] for v in bad])
         b = parse_braid("{2,{1}}")
-        partial_trace_scalar(b, r, rinv, bad)      # silently wrong
+        compute_ado3(b)                             # silently wrong
         with pytest.raises(ProportionalityError):
-            partial_trace_scalar(b, r, rinv, bad, paranoid=True)
+            compute_ado3(b, paranoid=True)
 
 
 class TestMarkovMoves:
@@ -251,30 +235,3 @@ class TestMarkovMoves:
         b = FIG8.conjugate(g)
         assert compute_ado3(b).value == compute_ado3(FIG8).value
         assert compute_lg(b).value == compute_lg(FIG8).value
-
-
-class TestTraceSide:
-    def test_first_open_is_the_convention(self):
-        # closing strands 2..n with the open first strand is the formula the
-        # whole package uses; closing 1..n-1 instead, with the same weights,
-        # does NOT give an invariant: the resulting operator on the open last
-        # strand is diagonal but not scalar.  Recorded here as the observed
-        # resolution of the cut-the-first-or-last-strand ambiguity.
-        b = parse_braid("{2,{1}}")    # closure is the unknot
-        assert _closure_scalar(b, "ado3", open_strand="first") == \
-            LaurentPoly1.one()
-        assert _closure_scalar(b, "ado3", open_strand="last") == \
-            LaurentPoly1.t_power(4)
-        with pytest.raises(ProportionalityError):
-            _closure_scalar(b, "ado3", paranoid=True, open_strand="last")
-
-    def test_trace_sides_disagree_broadly(self):
-        rng = random.Random(2026)
-        mismatches = 0
-        for _ in range(20):
-            b = random_braid(rng, max_strands=4, max_len=10)
-            for inv in ("ado3", "lg-spec"):
-                first = _closure_scalar(b, inv, open_strand="first")
-                last = _closure_scalar(b, inv, open_strand="last")
-                mismatches += first != last
-        assert mismatches == 16

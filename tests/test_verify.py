@@ -1,13 +1,19 @@
-"""Relation checks, prefix caching, sweep machinery, reports."""
+"""Relation checks, the shared family trunk, sweep machinery, reports."""
 
 import json
 import random
 
 import pytest
 
+from braidinv import invariant
 from braidinv.braid import BraidWord, parse_braid
 from braidinv.hecke import enumerate_s4_check_words, family_words
-from braidinv.invariant import compute_ado3, compute_lg_specialized
+from braidinv.invariant import (
+    closure_values,
+    compute_ado3,
+    compute_lg,
+    compute_lg_specialized,
+)
 from braidinv.rep import (
     LocalOperator,
     ado_cubic_coeffs,
@@ -26,7 +32,6 @@ from braidinv.ring import (
     parse_poly,
 )
 from braidinv.verify import (
-    PrefixCache,
     SweepEntry,
     SweepReport,
     _cubic_residual,
@@ -87,24 +92,39 @@ class TestRelationChecks:
 
 
 class TestPrefixCache:
+    """A family's fixed part is the shared trunk of its word trie."""
+
     def test_spot_checks(self):
         rng = random.Random(83)
         for family in ("Type1", "Type2"):
-            for invariant in ("ado3", "lg-spec"):
-                cache = PrefixCache(family, invariant)
-                d = cache.dim
-                indices = [tuple(rng.randrange(d) for _ in range(5))
-                           for _ in range(5)]
-                assert cache.spot_check(indices)
+            words = family_words(family)[:48]
+            for inv, compute in (("ado3", compute_ado3),
+                                 ("lg-spec", compute_lg_specialized)):
+                values = closure_values(inv, [cw.full for cw in words])
+                for i in rng.sample(range(len(words)), 3):
+                    assert values[i] == compute(words[i].full).value
 
     def test_generic_invariant_supported(self):
-        cache = PrefixCache("Type1", "lg")
-        assert cache.spot_check([(0, 1, 2, 3, 0)])
+        words = [cw.full for cw in family_words("Type1")[:3]]
+        assert closure_values("lg", words) == \
+            [compute_lg(b).value for b in words]
 
-    def test_memoized(self):
-        cache = PrefixCache("Type1", "ado3")
-        first = cache.raw_state((0, 1, 2, 0, 1))
-        assert cache.raw_state((0, 1, 2, 0, 1)) is first
+    def test_memoized(self, monkeypatch):
+        # repeated letter sequences among the S4 words share one trie node
+        seen = []
+        build = invariant._build_trie
+
+        def spy(seqs):
+            seen.append(len(seqs))
+            return build(seqs)
+
+        monkeypatch.setattr(invariant, "_build_trie", spy)
+        words = [cw.full for cw in enumerate_s4_check_words()]
+        values = closure_values("ado3", words)
+        assert seen == [len({b.word for b in words})] and seen[0] < len(words)
+        by_word = {}
+        for b, value in zip(words, values):
+            assert by_word.setdefault(b.word, value) == value
 
 
 def _small_sweep(**kwargs):
