@@ -66,6 +66,9 @@ def cmd_compute(args) -> int:
     except ProportionalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -162,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="relations | s4 | s5 | s5-type=K | corollary | "
                          "symmetry | all")
     pv.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: CPU count)")
+                    help="worker processes (default and maximum: CPU count)")
     pv.add_argument("--paranoid", action="store_true")
     pv.add_argument("--report", help="write the sweep report JSON here")
     pv.add_argument("--audit", type=float, default=0.01,
@@ -195,6 +198,7 @@ def main(argv=None) -> int:
             args.jobs = os.cpu_count() or 1
         if args.jobs < 1:
             parser.error("--jobs must be at least 1")
+        args.jobs = min(args.jobs, os.cpu_count() or 1)
         if not 0 <= args.audit <= 1:
             parser.error(f"--audit must be in [0, 1], got {args.audit}")
         return cmd_verify(args)

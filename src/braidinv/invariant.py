@@ -28,20 +28,34 @@ and strand pair the R-matrix column is precompiled to (key delta, coefficient
 terms) lists, so the hot loop is pure integer and dict work.  The amplitude
 kernels cover the rings involved:
 
-* Laurent polynomials over Z[w] as {exp: (a, b)} dicts (colored Alexander,
-  d = 3);
-* pairs (even, odd) of such dicts with Y**2 folded in via the specialized
-  modulus (Links-Gould at t0 = t**2, t1 = w**2 t**-2, d = 4);
-* pairs of {(e0, e1): int} dicts in the two-variable generic ring
-  (Links-Gould, d = 4).
+* Laurent polynomials over Z[w] (colored Alexander, d = 3), Kronecker-packed:
+  sum_k (a_k + b_k w) t**(base + k) is the int pair (A, B) = (sum_k a_k x**k,
+  sum_k b_k x**k) at x = 2**W, with balanced (signed) W-bit digits;
+* (even, odd) pairs of such packed pairs with Y**2 folded in via the
+  specialized modulus (Links-Gould at t0 = t**2, t1 = w**2 t**-2, d = 4);
+* pairs of {key: int} dicts in the two-variable generic ring, s0**e0 s1**e1
+  keyed (e0 << 20) + e1 (Links-Gould, d = 4).
+
+Packing evaluates at x = 2**W, a ring homomorphism, so products are a shift
+plus small multiplies per table term and only the decoded totals need to fit
+their slots.  One base exponent serves a whole state: each letter's table is
+stored relative to its least exponent, so every shift is non-negative, and
+the walk adds that exponent to the base.  The slot width W is fixed once per
+walk from a proof.  With N a letter's largest column norm (the sum of |a + b
+w| over a column's coefficients; for extension pairs the even part's norm
+plus the larger of the odd part's and the odd part times the modulus'), a
+total's coefficients obey |a|, |b| <= 2/sqrt(3) * d**(n-1) * prod N over
+the word, and W is that many bits plus a sign bit and a guard bit, rounded
+up to a multiple of 32.  Decoding raises if a digit lands in the guard band.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from itertools import product, zip_longest
+from typing import NamedTuple, Sequence
 
 from .braid import BraidWord
 from .rep import (
@@ -79,145 +93,292 @@ class InvariantValue:
     paranoid: bool = False
 
 
-# --- coefficient rings --------------------------------------------------------
+# --- packed coefficients ------------------------------------------------------
 
-def _conv_cyc(dst: dict, src: dict, terms: tuple) -> None:
-    """dst += src * terms over Z[w][t, t**-1]; terms are (exp, a, b)."""
-    for te, ea, eb in terms:
-        for pe, (pa, pb) in src.items():
-            ne = pe + te
-            na = pa * ea - pb * eb
-            nb = pa * eb + pb * ea + pb * eb
-            cur = dst.get(ne)
-            if cur is None:
-                dst[ne] = (na, nb)
-            else:
-                dst[ne] = (cur[0] + na, cur[1] + nb)
-
-
-def _conv_int2(dst: dict, src: dict, terms: tuple) -> None:
-    """dst += src * terms over Z[s0:pm1, s1:pm1]; terms are (e0, e1, c)."""
-    for t0, t1, c in terms:
-        for (p0, p1), pc in src.items():
-            ne = (p0 + t0, p1 + t1)
-            dst[ne] = dst.get(ne, 0) + pc * c
-
-
-def _add_cyc(dst: dict, src: dict) -> None:
-    for e, (a, b) in src.items():
-        cur = dst.get(e)
-        dst[e] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
-
-
-def _add_int2(dst: dict, src: dict) -> None:
-    for e, c in src.items():
-        dst[e] = dst.get(e, 0) + c
-
-
-def _prune_cyc(amp: dict) -> dict:
-    return {e: c for e, c in amp.items() if c[0] or c[1]}
-
-
-def _prune_int2(amp: dict) -> dict:
-    return {e: c for e, c in amp.items() if c}
-
-
-def _flat_cyc(raw: dict) -> tuple:
+def _flat1(raw: dict) -> tuple:
+    """LaurentPoly1 terms -> sorted (exp, a, b) triples."""
     return tuple((k, a, b) for k, (a, b) in sorted(raw.items()))
 
 
-def _flat_int2(raw: dict) -> tuple:
-    return tuple((e0, e1, c) for (e0, e1), c in sorted(raw.items()))
+def _l1(flat: tuple) -> float:
+    """Sum of the complex absolute values |a + b*w| of the coefficients."""
+    return sum(math.sqrt(a * a + a * b + b * b) for _, a, b in flat)
+
+
+def _shifts(flat: tuple, offset: int, width: int) -> tuple:
+    """(exp, a, b) terms -> (bit shift, a, b, a + b) terms, t**(offset + k)
+    going to slot k: multiplying a packed pair by one is a shift and small
+    multiplies."""
+    return tuple((width * (e - offset), a, b, a + b) for e, a, b in flat)
+
+
+def _digits(x: int, width: int) -> list[int]:
+    """Balanced base-2**width digits of x, lowest first.
+
+    A digit is valid when |digit| < 2**(width - 2); one in the guard band
+    above that means the width was too narrow for the value, and raises.
+    """
+    half = 1 << (width - 1)
+    guard = half >> 1
+    mask = (1 << width) - 1
+    out = []
+    while x:
+        digit = ((x + half) & mask) - half
+        if not -guard < digit < guard:
+            raise OverflowError(f"packed digit {digit} is outside the "
+                                f"{width}-bit slot's valid range")
+        out.append(digit)
+        x = (x - digit) >> width
+    return out
+
+
+def _unpack(big_a: int, big_b: int, base: int, width: int) -> LaurentPoly1:
+    """(A, B) with t**(base + k) in slot k -> LaurentPoly1."""
+    pairs = zip_longest(_digits(big_a, width), _digits(big_b, width),
+                        fillvalue=0)
+    return LaurentPoly1({base + k: ab for k, ab in enumerate(pairs)})
+
+
+_E1_BITS = 20                     # s0**e0 s1**e1 is the int key (e0 << 20) + e1
+_E1_HALF = 1 << (_E1_BITS - 1)
+
+
+def _key2(e0: int, e1: int) -> int:
+    return (e0 << _E1_BITS) + e1
+
+
+def _unkey2(key: int) -> tuple[int, int]:
+    e1 = ((key + _E1_HALF) & (2 * _E1_HALF - 1)) - _E1_HALF
+    return (key - e1) >> _E1_BITS, e1
+
+
+def _conv_int2(dst: dict, src: dict, terms: tuple) -> None:
+    """dst += src * terms over Z[s0:pm1, s1:pm1]; terms are (key, c)."""
+    get = dst.get
+    for tk, c in terms:
+        for pk, pc in src.items():
+            nk = pk + tk
+            dst[nk] = get(nk, 0) + pc * c
+
+
+def _add_int2(dst: dict, src: dict) -> None:
+    for k, c in src.items():
+        dst[k] = dst.get(k, 0) + c
+
+
+def _prune_int2(amp: dict) -> dict:
+    return {k: c for k, c in amp.items() if c}
 
 
 # --- amplitude kernels -------------------------------------------------------
+#
+# A kernel compiles ring elements (``terms``) and tables (``low``, ``growth``,
+# ``pack``), evolves states (``apply``) and sums weighted amplitudes
+# (``weight``, ``accumulate``, ``add``) into totals it decodes (``wrap``).
+# Callers keep what ``accumulate`` and ``add`` return: packed totals are ints
+# and cannot be updated in place.
 
-class _PolyKernel(NamedTuple):
-    """Amplitudes are raw polynomials, {exponent: coefficient} dicts.
+class _CycKernel:
+    """Packed Z[w][t**±1] amplitudes (A, B): the colored Alexander engine.
 
-    ``conv`` multiplies by flat terms (what ``flat`` makes of a raw dict) and
-    accumulates, ``add`` adds raw dicts, ``unit`` is the raw form of 1 and
-    ``poly`` the public polynomial type.  The colored Alexander engine uses
-    it directly; the extension kernel uses it for both halves of a pair.
+    Table entries are (key delta, bit shift, a, b, a + b), one per term of
+    a coefficient; the shift is relative to the letter's offset.
     """
 
-    conv: Callable
-    add: Callable
-    prune: Callable
-    flat: Callable
-    unit: dict
-    poly: type
-
-    def one(self) -> dict:
-        return dict(self.unit)
-
-    def zero(self) -> dict:
-        return {}
-
-    def terms(self, value) -> tuple:
-        """Ring element -> the flat coefficient terms ``apply`` consumes."""
-        return (self.flat(value._terms),)
-
-    def apply(self, state: dict, shift: int, table: list) -> dict:
-        conv = self.conv
-        out: dict = {}
-        for key, amp in state.items():
-            for delta, terms in table[(key >> shift) & 15]:
-                nk = key + delta
-                acc = out.get(nk)
-                if acc is None:
-                    acc = {}
-                    out[nk] = acc
-                conv(acc, amp, terms)
-        prune = self.prune
-        res: dict = {}
-        for nk, acc in out.items():
-            acc = prune(acc)
-            if acc:
-                res[nk] = acc
-        return res
-
-    def weight(self, mons: list[tuple], m: tuple[int, ...]) -> tuple:
-        """Product of the weight monomials of a middle multi-index, flat."""
-        weight = self.unit
-        for digit in m:
-            nxt: dict = {}
-            self.conv(nxt, weight, mons[digit])
-            weight = nxt
-        return self.flat(weight)
-
-    def accumulate(self, dst: dict, src: dict, weight: tuple) -> None:
-        """dst += src * weight, with a weight in the coefficient ring."""
-        self.conv(dst, src, weight)
-
-    def is_zero(self, total: dict) -> bool:
-        return not self.prune(total)
-
-    def wrap(self, total: dict):
-        """Raw accumulator -> public ring element."""
-        return self.poly(self.prune(total))
-
-
-class _ExtKernel(NamedTuple):
-    """Amplitudes are (even, odd) pairs in R[Y] / (Y**2 - modulus)."""
-
-    coeffs: _PolyKernel          # the ring R
-    ext: Callable                # (even, odd) -> public ExtScalar
+    __slots__ = ()
 
     def one(self) -> tuple:
-        return (self.coeffs.one(), {})
+        return (1, 0)
+
+    def zero(self) -> tuple:
+        return (0, 0)
+
+    def terms(self, value: LaurentPoly1) -> tuple:
+        """Ring element -> the flat polynomials a table entry holds."""
+        return (_flat1(value._terms),)
+
+    def low(self, polys) -> int:
+        """Least exponent among flat polynomials."""
+        return min(e for poly in polys for e, _, _ in poly)
+
+    def norm(self, polys: tuple) -> float:
+        return _l1(polys[0])
+
+    def growth(self, columns) -> float:
+        """log2 of the largest column norm: the bits one letter can add."""
+        return math.log2(max(sum(self.norm(polys) for polys in col)
+                             for col in columns))
+
+    def width(self, growth: float, strands: int, d: int) -> int:
+        """Slot width whose digits hold every coefficient of a total.
+
+        A letter scales the L1 norm of a state (over keys and exponents,
+        |a + b*w| per coefficient) by at most its column norm N, so with
+        unit-norm start states a total over d**(strands-1) middles has
+        coefficients z with |z| <= d**(strands-1) * prod N; |a|, |b| <=
+        2/sqrt(3) * |z|.  A sign bit and a guard bit come on top.
+        """
+        bits = (math.log2(2 / math.sqrt(3)) + (strands - 1) * math.log2(d)
+                + growth + 2 + 1e-9)
+        return 32 * (int(bits) // 32 + 1)
+
+    def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
+        return tuple((delta,) + term for delta, flat in outputs
+                     for term in _shifts(flat, offset, width))
+
+    def apply(self, state: dict, shift: int, table: list) -> dict:
+        out: dict = {}
+        get = out.get
+        for key, (big_a, big_b) in state.items():
+            for delta, s, a, b, ab in table[(key >> shift) & 15]:
+                nk = key + delta
+                na = (big_a * a - big_b * b) << s     # w**2 = w - 1
+                nb = (big_a * b + big_b * ab) << s
+                cur = get(nk)
+                out[nk] = (na, nb) if cur is None else (cur[0] + na, cur[1] + nb)
+        return {k: v for k, v in out.items() if v[0] or v[1]}
+
+    def weight(self, mons: list, m: tuple[int, ...], low: int,
+               width: int) -> tuple:
+        """The product of the weight monomials of a middle multi-index as
+        one shift term, relative to exponent low * len(m)."""
+        e, a, b = 0, 1, 0
+        for digit in m:
+            ((me, ma, mb),) = mons[digit]
+            e += me - low
+            a, b = a * ma - b * mb, a * mb + b * ma + b * mb
+        return (width * e, a, b, a + b)
+
+    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> tuple:
+        s, a, b, ab = weight
+        big_a, big_b = src
+        return (dst[0] + ((big_a * a - big_b * b) << s),
+                dst[1] + ((big_a * b + big_b * ab) << s))
+
+    def add(self, dst: tuple, src: tuple) -> tuple:
+        return tuple(x + y for x, y in zip(dst, src))
+
+    def is_zero(self, total: tuple) -> bool:
+        return not any(total)
+
+    def wrap(self, total: tuple, base: int, width: int) -> LaurentPoly1:
+        return _unpack(total[0], total[1], base, width)
+
+
+class _SpecKernel(_CycKernel):
+    """Packed (even, odd) pairs in Z[w][t**±1][Y] / (Y**2 - modulus):
+    amplitudes (EA, EB, OA, OB), the specialized Links-Gould engine.
+
+    A pattern's table holds three lists of (delta, shift term) entries: the
+    terms of the even part, which act on both halves; those of the odd part,
+    which take the even half to the odd one; and those of the odd part times
+    the modulus, which take the odd half to the even one (Y**2 = modulus).
+    """
+
+    __slots__ = ()
+
+    def one(self) -> tuple:
+        return (1, 0, 0, 0)
+
+    def zero(self) -> tuple:
+        return (0, 0, 0, 0)
+
+    def terms(self, value: ExtScalar) -> tuple:
+        """(even, odd, odd * modulus) flat terms of an extension element."""
+        return (_flat1(value.even._terms), _flat1(value.odd._terms),
+                _flat1((value.odd * value.modulus)._terms))
+
+    def norm(self, polys: tuple) -> float:
+        ev, od, odp = polys
+        return _l1(ev) + max(_l1(od), _l1(odp))
+
+    def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
+        return tuple(tuple((delta,) + term for delta, *polys in outputs
+                           for term in _shifts(polys[part], offset, width))
+                     for part in range(3))
+
+    def apply(self, state: dict, shift: int, table: list) -> dict:
+        out: dict = {}
+        get = out.get
+        for key, (ea, eb, oa, ob) in state.items():
+            evens, odds, lowers = table[(key >> shift) & 15]
+            for delta, s, a, b, ab in evens:
+                nk = key + delta
+                xa = (ea * a - eb * b) << s
+                xb = (ea * b + eb * ab) << s
+                ya = (oa * a - ob * b) << s
+                yb = (oa * b + ob * ab) << s
+                cur = get(nk)
+                out[nk] = ((xa, xb, ya, yb) if cur is None else
+                           (cur[0] + xa, cur[1] + xb, cur[2] + ya, cur[3] + yb))
+            for delta, s, a, b, ab in odds:
+                nk = key + delta
+                ya = (ea * a - eb * b) << s
+                yb = (ea * b + eb * ab) << s
+                cur = get(nk)
+                out[nk] = ((0, 0, ya, yb) if cur is None else
+                           (cur[0], cur[1], cur[2] + ya, cur[3] + yb))
+            if oa or ob:
+                for delta, s, a, b, ab in lowers:
+                    nk = key + delta
+                    xa = (oa * a - ob * b) << s
+                    xb = (oa * b + ob * ab) << s
+                    cur = get(nk)
+                    out[nk] = ((xa, xb, 0, 0) if cur is None else
+                               (cur[0] + xa, cur[1] + xb, cur[2], cur[3]))
+        return {k: v for k, v in out.items() if v[0] or v[1] or v[2] or v[3]}
+
+    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> tuple:
+        """dst += src * weight, with an even (coefficient-ring) weight."""
+        s, a, b, ab = weight
+        ea, eb, oa, ob = src
+        return (dst[0] + ((ea * a - eb * b) << s),
+                dst[1] + ((ea * b + eb * ab) << s),
+                dst[2] + ((oa * a - ob * b) << s),
+                dst[3] + ((oa * b + ob * ab) << s))
+
+    def wrap(self, total: tuple, base: int, width: int) -> ExtScalar:
+        return ext_specialized(_unpack(total[0], total[1], base, width),
+                               _unpack(total[2], total[3], base, width))
+
+
+class _GenKernel:
+    """Generic Links-Gould amplitudes: (even, odd) pairs of {key: int} dicts
+    over Z[s0:pm1, s1:pm1], with s0**e0 s1**e1 keyed (e0 << 20) + e1.
+
+    Keys add like exponents, so the walk needs no offsets (``low`` is 0) and
+    no slot width; ``width`` only checks that every |e1| stays below 2**19,
+    where the keys still decode.
+    """
+
+    __slots__ = ()
+
+    def one(self) -> tuple:
+        return ({0: 1}, {})
 
     def zero(self) -> tuple:
         return ({}, {})
 
     def terms(self, value: ExtScalar) -> tuple:
-        """(even, odd, odd * modulus) flat terms of an extension element."""
-        flat = self.coeffs.flat
-        return (flat(value.even._terms), flat(value.odd._terms),
-                flat((value.odd * value.modulus)._terms))
+        """(even, odd, odd * modulus) flat (key, c) terms."""
+        return tuple(tuple((_key2(*e), c) for e, c in sorted(p._terms.items()))
+                     for p in (value.even, value.odd, value.odd * value.modulus))
+
+    def low(self, polys) -> int:
+        return 0
+
+    def growth(self, columns) -> int:
+        """The largest |e1| of one letter's table."""
+        return max((abs(_unkey2(k)[1]) for col in columns for polys in col
+                    for poly in polys for k, _ in poly), default=0)
+
+    def width(self, growth: int, strands: int, d: int) -> int | None:
+        return 0 if growth < _E1_HALF else None
+
+    def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
+        return outputs
 
     def apply(self, state: dict, shift: int, table: list) -> dict:
-        conv = self.coeffs.conv
         out: dict = {}
         for key, (ae, ao) in state.items():
             for delta, ev, od, odp in table[(key >> shift) & 15]:
@@ -229,56 +390,65 @@ class _ExtKernel(NamedTuple):
                 de, do = acc
                 if ev:
                     if ae:
-                        conv(de, ae, ev)
+                        _conv_int2(de, ae, ev)
                     if ao:
-                        conv(do, ao, ev)
+                        _conv_int2(do, ao, ev)
                 if od:
                     if ae:
-                        conv(do, ae, od)
+                        _conv_int2(do, ae, od)
                     if ao:
-                        conv(de, ao, odp)   # odd*odd picks up Y**2 = modulus
-        prune = self.coeffs.prune
+                        _conv_int2(de, ao, odp)   # odd*odd picks up Y**2
         res: dict = {}
         for nk, (de, do) in out.items():
-            de = prune(de)
-            do = prune(do)
+            de = _prune_int2(de)
+            do = _prune_int2(do)
             if de or do:
                 res[nk] = (de, do)
         return res
 
-    def weight(self, mons: list[tuple], m: tuple[int, ...]) -> tuple:
-        return self.coeffs.weight(mons, m)
+    def weight(self, mons: list, m: tuple[int, ...], low: int,
+               width: int) -> tuple:
+        weight = {0: 1}
+        for digit in m:
+            nxt: dict = {}
+            _conv_int2(nxt, weight, mons[digit])
+            weight = nxt
+        return tuple(weight.items())
 
-    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> None:
+    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> tuple:
         """dst += src * weight, with an even (coefficient-ring) weight."""
-        conv = self.coeffs.conv
         if src[0]:
-            conv(dst[0], src[0], weight)
+            _conv_int2(dst[0], src[0], weight)
         if src[1]:
-            conv(dst[1], src[1], weight)
+            _conv_int2(dst[1], src[1], weight)
+        return dst
 
-    def add(self, dst: tuple, src: tuple) -> None:
-        self.coeffs.add(dst[0], src[0])
-        self.coeffs.add(dst[1], src[1])
+    def add(self, dst: tuple, src: tuple) -> tuple:
+        _add_int2(dst[0], src[0])
+        _add_int2(dst[1], src[1])
+        return dst
 
     def is_zero(self, total: tuple) -> bool:
-        return self.coeffs.is_zero(total[0]) and self.coeffs.is_zero(total[1])
+        return not (_prune_int2(total[0]) or _prune_int2(total[1]))
 
-    def wrap(self, total: tuple) -> ExtScalar:
-        """Raw accumulator -> public ring element."""
-        return self.ext(self.coeffs.wrap(total[0]), self.coeffs.wrap(total[1]))
-
-
-_CYC = _PolyKernel(_conv_cyc, _add_cyc, _prune_cyc, _flat_cyc, {0: (1, 0)},
-                   LaurentPoly1)
-_INT2 = _PolyKernel(_conv_int2, _add_int2, _prune_int2, _flat_int2,
-                    {(0, 0): 1}, LaurentPoly2)
+    def wrap(self, total: tuple, base: int, width: int) -> ExtScalar:
+        return ext_generic(*(LaurentPoly2({_unkey2(k): c for k, c in p.items()})
+                             for p in total))
 
 
 # --- operator compilation ---------------------------------------------------
 
-def _table16(op: LocalOperator, d: int, shift: int, kernel) -> list:
-    """Per pair-bit-pattern outputs of a local operator at a given position."""
+class _Letter(NamedTuple):
+    """One braid letter, compiled for a kernel but not yet packed."""
+
+    shift: int          # bit position of the strand pair it acts on
+    offset: int         # least exponent in its table
+    growth: float       # what one application can add (kernel ``growth``)
+    table: list         # pattern -> ((pattern delta, *flat polynomials), ...)
+
+
+def _compile_letter(op: LocalOperator, d: int, kernel) -> _Letter:
+    """Per pair-bit-pattern outputs of a local operator, at shift 0."""
     cols = op.columns()
     table: list[tuple] = [() for _ in range(16)]
     for pb in range(16):
@@ -290,51 +460,86 @@ def _table16(op: LocalOperator, d: int, shift: int, kernel) -> list:
         for row, value in cols.get(d * i + j, ()):
             i2, j2 = divmod(row, d)
             npb = i2 | (j2 << 2)
-            outs.append(((npb - pb) << shift,) + kernel.terms(value))
+            outs.append((npb - pb,) + kernel.terms(value))
         table[pb] = tuple(outs)
-    return table
+    columns = [[out[1:] for out in outs] for outs in table if outs]
+    offset = kernel.low(poly for col in columns for polys in col
+                        for poly in polys)
+    return _Letter(0, offset, kernel.growth(columns), table)
 
 
 def compile_letter_tables(r: LocalOperator, rinv: LocalOperator, d: int,
-                          strands: int, kernel) -> dict[int, tuple[int, list]]:
-    """letter -> (shift, 16-entry table) for every letter valid on n strands."""
-    tables: dict[int, tuple[int, list]] = {}
-    for k in range(1, strands):
-        shift = 2 * (k - 1)
-        tables[k] = (shift, _table16(r, d, shift, kernel))
-        tables[-k] = (shift, _table16(rinv, d, shift, kernel))
-    return tables
+                          strands: int, kernel) -> dict[int, _Letter]:
+    """letter -> compiled table for every letter valid on n strands; letter
+    k acts on the strand pair at bit 2(k - 1)."""
+    ops = {1: _compile_letter(r, d, kernel), -1: _compile_letter(rinv, d, kernel)}
+    return {sign * k: ops[sign]._replace(shift=2 * (k - 1))
+            for k in range(1, strands) for sign in (1, -1)}
 
 
 # invariant -> (R builder, inverse builder, closure weight builder, kernel, d)
 _BUILDERS = {
-    "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, _CYC, 3),
-    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h,
-           _ExtKernel(_INT2, ext_generic), 4),
+    "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, _CycKernel(), 3),
+    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h, _GenKernel(), 4),
     "lg-spec": (build_lg_r_specialized, build_lg_r_inverse_specialized,
-                build_lg_h_specialized, _ExtKernel(_CYC, ext_specialized), 4),
+                build_lg_h_specialized, _SpecKernel(), 4),
 }
 
 
 @lru_cache(maxsize=None)
-def _tables_for(invariant: str, strands: int) -> dict[int, tuple[int, list]]:
+def _letters_for(invariant: str, strands: int) -> dict[int, _Letter]:
     build_r, build_rinv, _, kernel, d = _BUILDERS[invariant]
     return compile_letter_tables(build_r(), build_rinv(), d, strands, kernel)
 
 
 @lru_cache(maxsize=None)
-def _weight_monomials(invariant: str) -> list[tuple]:
-    """The closure weight of each basis vector as a single compiled term."""
+def _tables_for(invariant: str, strands: int,
+                width: int) -> dict[int, tuple[int, int, list]]:
+    """letter -> (shift, offset, table packed at the slot width), with the
+    key deltas moved to the letter's strand pair."""
+    kernel = _BUILDERS[invariant][3]
+    return {letter: (c.shift, c.offset, [
+        kernel.pack(tuple((out[0] << c.shift,) + out[1:] for out in outs),
+                    c.offset, width) for outs in c.table])
+            for letter, c in _letters_for(invariant, strands).items()}
+
+
+@lru_cache(maxsize=None)
+def _weight_monomials(invariant: str) -> tuple[list[tuple], float]:
+    """The closure weight of each basis vector as a single compiled term,
+    and their growth (as if they were the columns of one letter)."""
     _, _, build_h, kernel, _ = _BUILDERS[invariant]
-    out = []
-    for v in build_h().values:
-        terms, *odd = kernel.terms(v)
+    compiled = [kernel.terms(v) for v in build_h().values]
+    for terms, *odd in compiled:
         if any(odd):
             raise ValueError("closure weights must be even")
         if len(terms) != 1:
             raise ValueError("closure weights must be monomials")
-        out.append(terms)
-    return out
+    return [c[0] for c in compiled], kernel.growth([[c] for c in compiled])
+
+
+def _slot_width(invariant: str, strands: int,
+                seqs: Sequence[tuple[int, ...]]) -> int:
+    """The kernel's slot width for a walk over the given letter sequences.
+
+    Growth adds up along a sequence; the closure weights count as
+    strands - 1 more letters.  Raises ValueError, naming the sequence, when
+    the kernel cannot represent it.
+    """
+    kernel, d = _BUILDERS[invariant][3:]
+    letters = _letters_for(invariant, strands)
+    _, weights = _weight_monomials(invariant)
+    growth = [sum(letters[letter].growth for letter in seq) for seq in seqs]
+    worst = max(range(len(seqs)), key=growth.__getitem__)
+    width = kernel.width(growth[worst] + (strands - 1) * weights, strands, d)
+    if width is None:
+        seq = seqs[worst]
+        text = BraidWord(strands, seq).format()
+        if len(text) > 60:
+            text = text[:56] + "...}}"
+        raise ValueError(f"{invariant}: {text} has {len(seq)} letters, too "
+                         f"many for the kernel's exponent range")
+    return width
 
 
 # --- the trie walk -----------------------------------------------------------
@@ -374,30 +579,37 @@ def _build_trie(seqs: Sequence[tuple[int, ...]]) -> _Node:
 
 def _trace_totals(invariant: str, strands: int,
                   seqs: Sequence[tuple[int, ...]], columns: Sequence[int],
-                  middles: Sequence[tuple[int, ...]]) -> list[dict]:
-    """Raw accumulators {(a, c): O[a, c]} per sequence, over the given middles.
+                  middles: Sequence[tuple[int, ...]], width: int
+                  ) -> tuple[list[int], list[dict]]:
+    """Per sequence, the exponent base and the raw accumulators
+    {(a, c): O[a, c]} over the given middles, packed at the slot width.
 
     For each middle m and column c the basis state (c, m) is walked through
     the trie depth first; a node's last child continues in the same frame, so
-    a single-child chain holds only the current state.
+    a single-child chain holds only the current state.  Each letter's table
+    is stored relative to its least exponent, which the walk adds to the
+    state's base; a sequence's base is fixed by its letters.
     """
     _, _, _, kernel, d = _BUILDERS[invariant]
-    tables = _tables_for(invariant, strands)
-    mons = _weight_monomials(invariant)
+    tables = _tables_for(invariant, strands, width)
+    mons, _ = _weight_monomials(invariant)
+    low = kernel.low(mons)
     root = _build_trie(seqs)
+    bases = [0] * len(seqs)
     totals = [{(a, c): kernel.zero() for a in range(d) for c in columns}
               for _ in seqs]
     apply, accumulate = kernel.apply, kernel.accumulate
 
-    def walk(node: _Node, state: dict, reach: int) -> None:
+    def walk(node: _Node, state: dict, reach: int, base: int) -> None:
         # reads target, c and weight of the middle and column being walked
         while True:
             if node.slot is not None:
+                bases[node.slot] = base
                 acc = totals[node.slot]
                 for a in range(d):
                     amp = state.get(target | a)
-                    if amp:
-                        accumulate(acc[(a, c)], amp, weight)
+                    if amp is not None:
+                        acc[a, c] = accumulate(acc[a, c], amp, weight)
             children = node.children
             if not children:
                 return
@@ -408,34 +620,37 @@ def _trace_totals(invariant: str, strands: int,
                 frozen = target >> shift
                 state = {k: v for k, v in state.items() if k >> shift == frozen}
             for letter, child in children[:-1]:
-                shift, table = tables[letter]
-                walk(child, apply(state, shift, table), reach)
+                shift, offset, table = tables[letter]
+                walk(child, apply(state, shift, table), reach, base + offset)
             letter, node = children[-1]
-            shift, table = tables[letter]
+            shift, offset, table = tables[letter]
             state = apply(state, shift, table)
+            base += offset
 
     top = strands - 1 if len(seqs) > 1 else 0   # reach 0 can never drop
     for m in middles:
-        weight = kernel.weight(mons, m)
+        # the weight is packed relative to exponent low * (strands - 1)
+        weight = kernel.weight(mons, m, low, width)
         # the key of (0, m): strand s + 2 holds digit m[s]
         target = sum(digit << (2 * s + 2) for s, digit in enumerate(m))
         for c in columns:
-            walk(root, {target | c: kernel.one()}, top)
-    return totals
+            walk(root, {target | c: kernel.one()}, top, low * (strands - 1))
+    return bases, totals
 
 
 def _finalize(invariant: str, braid: BraidWord, totals: dict,
-              columns: Sequence[int]):
+              columns: Sequence[int], base: int, width: int):
     """Proportionality and odd-part checks, then the invariant value."""
     kernel = _BUILDERS[invariant][3]
     for (a, c), total in totals.items():
         if a != c and not kernel.is_zero(total):
             raise ProportionalityError(
                 f"{invariant} closure operator of {braid} has a nonzero "
-                f"off-diagonal block ({a}, {c}): {kernel.wrap(total)}")
-    scalar = kernel.wrap(totals[(0, 0)])
+                f"off-diagonal block ({a}, {c}): "
+                f"{kernel.wrap(total, base, width)}")
+    scalar = kernel.wrap(totals[(0, 0)], base, width)
     for c in columns:
-        if c and kernel.wrap(totals[(c, c)]) != scalar:
+        if c and kernel.wrap(totals[(c, c)], base, width) != scalar:
             raise ProportionalityError(
                 f"{invariant} closure operator of {braid} is diagonal but not "
                 f"scalar (block {c} differs)")
@@ -451,8 +666,10 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
                    paranoid: bool = False, pool=None, jobs: int = 1) -> list:
     """Exact invariant values of the closures of braids on one strand count.
 
-    All braids go through one trie walk.  With a pool and jobs > 1 the middle
-    indices are split into ``jobs`` chunks whose raw totals are summed.
+    All braids go through one trie walk, with one slot width.  With a pool
+    and jobs > 1 the middle indices are split into ``jobs`` chunks whose raw
+    totals are summed; every chunk walks the same trie, so a sequence has
+    the same base in each and its totals add slot by slot.
     """
     if not braids:
         return []
@@ -464,21 +681,23 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     for b in braids:
         unique.setdefault(b.word, b)
     seqs = list(unique)
+    width = _slot_width(invariant, strands, seqs)
     columns = tuple(range(d)) if paranoid else (0,)
     middles = list(product(range(d), repeat=strands - 1))
     if pool is not None and jobs > 1:
         parts = pool.starmap(_trace_totals, [
-            (invariant, strands, seqs, columns, middles[i::jobs])
+            (invariant, strands, seqs, columns, middles[i::jobs], width)
             for i in range(min(jobs, len(middles)))])
-        totals = parts[0]
-        for part in parts[1:]:
+        bases, totals = parts[0]
+        for _, part in parts[1:]:
             for dst, src in zip(totals, part):
                 for ac, total in src.items():
-                    kernel.add(dst[ac], total)
+                    dst[ac] = kernel.add(dst[ac], total)
     else:
-        totals = _trace_totals(invariant, strands, seqs, columns, middles)
-    value_of = {word: _finalize(invariant, b, total, columns)
-                for (word, b), total in zip(unique.items(), totals)}
+        bases, totals = _trace_totals(invariant, strands, seqs, columns,
+                                      middles, width)
+    value_of = {word: _finalize(invariant, b, total, columns, base, width)
+                for (word, b), base, total in zip(unique.items(), bases, totals)}
     return [value_of[b.word] for b in braids]
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from braidinv import cli
+from braidinv.verify import SweepReport
 
 
 TREFOIL_ADO = "(-1*w)*t^-4 + (1)*t^-2 + (-1+2*w) + (-1*w)*t^2 + (1)*t^4"
@@ -70,6 +71,13 @@ class TestCompute:
         assert rc == 2
         assert "error:" in err
 
+    def test_word_too_long_for_generic_keys(self, capsys):
+        letters = ",".join(["1"] * 200000)
+        rc, out, err = run(capsys, "compute", "--invariant", "lg",
+                           "--braid", f"{{2,{{{letters}}}}}")
+        assert (rc, out) == (2, "")
+        assert "200000 letters" in err
+
     def test_braid_and_file_mutually_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "--invariant", "ado3", "--braid", "{1,{}}",
@@ -115,6 +123,22 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "relations", "--jobs", "0"])
         assert exc.value.code == 2
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        # the sweep is replaced, so no worker process is started
+        seen = []
+
+        def sweep(words, *, jobs, **kwargs):
+            seen.append(jobs)
+            return SweepReport()
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "run_equality_sweep", sweep)
+        for requested, used in (("64", 2), ("2", 2), ("1", 1)):
+            rc, _, _ = run(capsys, "verify", "--suite", "s4",
+                           "--jobs", requested)
+            assert rc == 0
+            assert seen.pop() == used
 
     def test_audit_validation(self, capsys):
         for bad in ("5", "-1", "nan"):

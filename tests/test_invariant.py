@@ -10,6 +10,8 @@ from braidinv.invariant import (
     _BUILDERS,
     ProportionalityError,
     _build_trie,
+    _shifts,
+    _slot_width,
     _tables_for,
     closure_values,
     compute_ado3,
@@ -102,25 +104,34 @@ class TestFixtures:
         assert out.paranoid
 
 
+# slot width of the packed kernels in the state tests: ample for words of
+# three letters (the generic kernel ignores it)
+WIDTH = 64
+
+
 def _basis(inv, index):
-    """The raw basis state of a multi-index, amplitude 1."""
+    """The raw basis state of a multi-index, amplitude 1, and its base."""
     key = sum(digit << (2 * s) for s, digit in enumerate(index))
-    return {key: _BUILDERS[inv][3].one()}
+    return {key: _BUILDERS[inv][3].one()}, 0
 
 
 def _evolve(inv, strands, word, state):
     kernel = _BUILDERS[inv][3]
-    tables = _tables_for(inv, strands)
+    tables = _tables_for(inv, strands, WIDTH)
+    state, base = state
     for letter in word:
-        state = kernel.apply(state, *tables[letter])
-    return state
+        shift, offset, table = tables[letter]
+        state = kernel.apply(state, shift, table)
+        base += offset
+    return state, base
 
 
 def _amplitudes(inv, strands, state):
     """Unpacked {multi-index: ring element} view of a raw state."""
     kernel = _BUILDERS[inv][3]
-    return {tuple((key >> (2 * s)) & 3 for s in range(strands)): kernel.wrap(amp)
-            for key, amp in state.items()}
+    state, base = state
+    return {tuple((key >> (2 * s)) & 3 for s in range(strands)):
+            kernel.wrap(amp, base, WIDTH) for key, amp in state.items()}
 
 
 class TestStates:
@@ -213,11 +224,55 @@ class TestPartialTrace:
                LaurentPoly1.t_power(2, -W))
         kernel = _BUILDERS["ado3"][3]
         monkeypatch.setattr(invariant, "_weight_monomials",
-                            lambda inv: [kernel.terms(v)[0] for v in bad])
+                            lambda inv: ([kernel.terms(v)[0] for v in bad], 0.0))
         b = parse_braid("{2,{1}}")
         compute_ado3(b)                             # silently wrong
         with pytest.raises(ProportionalityError):
             compute_ado3(b, paranoid=True)
+
+
+class TestPacking:
+    # 40 letters on 3 strands: coefficients of 42 bits, slots wider than 64
+    LONG = BraidWord(3, (1, -2) * 20)
+
+    def test_long_word_cross_check(self):
+        # the generic lg path is dict based and shares no packing code
+        assert _slot_width("ado3", 3, [self.LONG.word]) > 64
+        ado = compute_ado3(self.LONG).value
+        assert max(max(abs(c.a), abs(c.b)).bit_length()
+                   for _, c in ado.items()) == 42
+        assert compute_lg_specialized(self.LONG).value == ado
+        assert specialize(compute_lg(self.LONG).value) == ado
+
+    def test_narrow_width_trips_the_guard(self, monkeypatch):
+        monkeypatch.setattr(invariant, "_slot_width", lambda *args: 16)
+        with pytest.raises(OverflowError):
+            compute_ado3(self.LONG)
+        with pytest.raises(OverflowError):
+            compute_lg_specialized(self.LONG)
+
+    @pytest.mark.parametrize("inv", ["ado3", "lg-spec"])
+    def test_round_trip(self, inv):
+        kernel = _BUILDERS[inv][3]
+        top = 2 ** (WIDTH - 2) - 1
+        poly = LaurentPoly1({-7: (top, -top), -4: (-top, 1), 0: (0, top),
+                             3: (-1, -top)})
+        flat = tuple((e, c.a, c.b) for e, c in poly.items())
+        packed = kernel.zero()
+        for term in _shifts(flat, -7, WIDTH):
+            packed = kernel.accumulate(packed, kernel.one(), term)
+        value = kernel.wrap(packed, -7, WIDTH)
+        assert (value.even if inv == "lg-spec" else value) == poly
+        # one more is in the guard band
+        term = _shifts(((0, top + 1, 0),), 0, WIDTH)[0]
+        with pytest.raises(OverflowError):
+            kernel.wrap(kernel.accumulate(kernel.zero(), kernel.one(), term),
+                        0, WIDTH)
+
+    def test_generic_exponent_range(self):
+        # every |e1| must stay below 2**19 for the int keys to decode
+        with pytest.raises(ValueError, match="200000 letters"):
+            closure_values("lg", [BraidWord(2, (1,) * 200000)])
 
 
 class TestMarkovMoves:

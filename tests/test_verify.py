@@ -181,6 +181,36 @@ class TestSweep:
         assert "entries" not in slim
         assert slim["summary"] == docs[0]["summary"]
 
+    def test_audit_catches_corrupted_table(self, monkeypatch):
+        # negative control: flip the sign of one lg-spec table term (letter
+        # 2, both strands in state 0); the audited knots must fail
+        tables_for = invariant._tables_for
+
+        def corrupted(inv, strands, width):
+            tables = tables_for(inv, strands, width)
+            if inv != "lg-spec":
+                return tables
+            shift, offset, table = tables[2]
+            evens, odds, lowers = table[0]
+            (delta, s, a, b, ab), *rest = evens
+            table = list(table)
+            table[0] = (((delta, s, -a, -b, -ab), *rest), odds, lowers)
+            return {**tables, 2: (shift, offset, table)}
+
+        monkeypatch.setattr(invariant, "_tables_for", corrupted)
+        knots = [cw for cw in enumerate_s4_check_words()
+                 if cw.full.closure_components() == 1][:4]
+        report = run_equality_sweep(knots, audit_fraction=0.5)
+        assert report.audit_checked == 2
+        assert report.audit_failures > 0
+        assert not report.all_equal
+
+    def test_audit_is_timed(self):
+        _, report = _small_sweep(audit_fraction=0.5)
+        assert report.timing["audit"] >= 0
+        _, report = _small_sweep(audit_fraction=0)
+        assert "audit" not in report.timing
+
     def test_parallel_matches_serial(self):
         words = enumerate_s4_check_words()[:24]
         serial = run_equality_sweep(words, jobs=1, audit_fraction=0)
