@@ -11,7 +11,7 @@ coefficients.
 """
 
 from braidinv import CycScalar, LaurentPoly1, LaurentPoly2, parse_poly, specialize
-from braidinv.ring import ExtScalar, cyc_units
+from braidinv.ring import GENERIC_MODULUS, cyc_units
 
 ONE = CycScalar.one()
 W = CycScalar.omega()
@@ -46,16 +46,16 @@ def main() -> None:
     print("\nThe palindrome substitution t -> w * t^-1 used by the symmetry check:")
     print(f"  p(w/t) = {p.substitute_unit_over_t(W)}")
 
-    print("\n=== two-variable polynomials and the square-root extension ===")
+    print("\n=== two-variable polynomials, and no square root ===")
     mon = LaurentPoly2.monomial
     generic = (mon(2, 0) - mon(0, 0)) * (mon(0, 0) - mon(0, 2))
     print(f"(t0 - 1)(1 - t1) = {generic}")
     print(f"is a polynomial in t0 = s0^2, t1 = s1^2: {generic.is_polynomial_in_squares()}")
 
-    # ExtScalar adjoins Y with Y^2 = p; the generic invariant engine uses
-    # Y = s0 s1 over the even subring Z[t0, t1].
-    y = ExtScalar(LaurentPoly2.zero(), LaurentPoly2.one(), generic)
-    print(f"Y * Y = {(y * y).even}  (odd part {(y * y).odd})")
+    # The published Links-Gould matrix has cells o*Y with Y^2 = p.  The
+    # package never adjoins Y: a diagonal gauge (demo 03) turns each o*Y
+    # into o*p or o, so every value stays in Z[s0^+-1, s1^+-1].
+    print(f"p = Y^2, the square the gauge trades for: {GENERIC_MODULUS == generic}")
 
     print("\n=== the specialization homomorphism ===")
     print("s0 -> t, s1 -> w t^-1, hence t0 -> t^2 and t1 -> w^2 t^-2:")

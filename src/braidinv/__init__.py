@@ -18,7 +18,6 @@ from .invariant import (
 )
 from .ring import (
     CycScalar,
-    ExtScalar,
     LaurentPoly1,
     LaurentPoly2,
     parse_poly,
@@ -28,7 +27,6 @@ from .ring import (
 __all__ = [
     "BraidWord",
     "CycScalar",
-    "ExtScalar",
     "InvariantValue",
     "LaurentPoly1",
     "LaurentPoly2",

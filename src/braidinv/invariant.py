@@ -25,16 +25,24 @@ A lone braid is walked unfrozen: its cost is the same wherever its reach drops.
 States are sparse maps from packed keys to amplitudes: strand s contributes
 two bits at position 2(s-1) (both representations have d <= 4).  Per letter
 and strand pair the R-matrix column is precompiled to (key delta, coefficient
-terms) lists, so the hot loop is pure integer and dict work.  The amplitude
+terms) lists, so the hot loop is pure integer and dict work.  Two amplitude
 kernels cover the rings involved:
 
-* Laurent polynomials over Z[w] (colored Alexander, d = 3), Kronecker-packed:
-  sum_k (a_k + b_k w) t**(base + k) is the int pair (A, B) = (sum_k a_k x**k,
-  sum_k b_k x**k) at x = 2**W, with balanced (signed) W-bit digits;
-* (even, odd) pairs of such packed pairs with Y**2 folded in via the
-  specialized modulus (Links-Gould at t0 = t**2, t1 = w**2 t**-2, d = 4);
-* pairs of {key: int} dicts in the two-variable generic ring, s0**e0 s1**e1
-  keyed (e0 << 20) + e1 (Links-Gould, d = 4).
+* Laurent polynomials over Z[w], Kronecker-packed: sum_k (a_k + b_k w)
+  t**(base + k) is the int pair (A, B) = (sum_k a_k x**k, sum_k b_k x**k) at
+  x = 2**W, with balanced (signed) W-bit digits.  It serves the colored
+  Alexander invariant (d = 3) and Links-Gould at t0 = t**2, t1 = w**2 t**-2
+  (d = 4) alike;
+* {key: int} dicts in the two-variable generic ring, s0**e0 s1**e1 keyed
+  (e0 << 20) + e1 (Links-Gould, d = 4).
+
+Neither carries the square root Y = sqrt((t0 - 1)(1 - t1)) of the
+literature's Links-Gould R-matrix: ``rep.build_lg_r`` conjugates it by
+diag(1, 1, 1, Y) on every strand.  That gauge scales the (a, c) block of the
+trace by a power of Y that is 1 when a = c, so the invariant and the
+paranoid diagonal blocks are those of the Y form, and the off-diagonal
+blocks still vanish.  Its build-time rule (odd cells move one v_3, even
+cells none) is also the proof that the Y form's scalar has no odd part.
 
 Packing evaluates at x = 2**W, a ring homomorphism, so products are a shift
 plus small multiplies per table term and only the decoded totals need to fit
@@ -42,11 +50,10 @@ their slots.  One base exponent serves a whole state: each letter's table is
 stored relative to its least exponent, so every shift is non-negative, and
 the walk adds that exponent to the base.  The slot width W is fixed once per
 walk from a proof.  With N a letter's largest column norm (the sum of |a + b
-w| over a column's coefficients; for extension pairs the even part's norm
-plus the larger of the odd part's and the odd part times the modulus'), a
-total's coefficients obey |a|, |b| <= 2/sqrt(3) * d**(n-1) * prod N over
-the word, and W is that many bits plus a sign bit and a guard bit, rounded
-up to a multiple of 32.  Decoding raises if a digit lands in the guard band.
+w| over a column's coefficients), a total's coefficients obey |a|, |b| <=
+2/sqrt(3) * d**(n-1) * prod N over the word, and W is that many bits plus a
+sign bit and a guard bit, rounded up to a multiple of 32.  Decoding raises
+if a digit lands in the guard band.
 """
 
 from __future__ import annotations
@@ -70,13 +77,7 @@ from .rep import (
     build_lg_r_inverse_specialized,
     build_lg_r_specialized,
 )
-from .ring import (
-    ExtScalar,
-    LaurentPoly1,
-    LaurentPoly2,
-    ext_generic,
-    ext_specialized,
-)
+from .ring import LaurentPoly1, LaurentPoly2
 
 
 class ProportionalityError(RuntimeError):
@@ -179,7 +180,8 @@ def _prune_int2(amp: dict) -> dict:
 # and cannot be updated in place.
 
 class _CycKernel:
-    """Packed Z[w][t**±1] amplitudes (A, B): the colored Alexander engine.
+    """Packed Z[w][t**±1] amplitudes (A, B): the colored Alexander and the
+    specialized Links-Gould engine.
 
     Table entries are (key delta, bit shift, a, b, a + b), one per term of
     a coefficient; the shift is relative to the letter's offset.
@@ -194,20 +196,16 @@ class _CycKernel:
         return (0, 0)
 
     def terms(self, value: LaurentPoly1) -> tuple:
-        """Ring element -> the flat polynomials a table entry holds."""
-        return (_flat1(value._terms),)
+        """Ring element -> the flat polynomial a table entry holds."""
+        return _flat1(value._terms)
 
     def low(self, polys) -> int:
         """Least exponent among flat polynomials."""
         return min(e for poly in polys for e, _, _ in poly)
 
-    def norm(self, polys: tuple) -> float:
-        return _l1(polys[0])
-
     def growth(self, columns) -> float:
         """log2 of the largest column norm: the bits one letter can add."""
-        return math.log2(max(sum(self.norm(polys) for polys in col)
-                             for col in columns))
+        return math.log2(max(sum(map(_l1, col)) for col in columns))
 
     def width(self, growth: float, strands: int, d: int) -> int:
         """Slot width whose digits hold every coefficient of a total.
@@ -265,86 +263,9 @@ class _CycKernel:
         return _unpack(total[0], total[1], base, width)
 
 
-class _SpecKernel(_CycKernel):
-    """Packed (even, odd) pairs in Z[w][t**±1][Y] / (Y**2 - modulus):
-    amplitudes (EA, EB, OA, OB), the specialized Links-Gould engine.
-
-    A pattern's table holds three lists of (delta, shift term) entries: the
-    terms of the even part, which act on both halves; those of the odd part,
-    which take the even half to the odd one; and those of the odd part times
-    the modulus, which take the odd half to the even one (Y**2 = modulus).
-    """
-
-    __slots__ = ()
-
-    def one(self) -> tuple:
-        return (1, 0, 0, 0)
-
-    def zero(self) -> tuple:
-        return (0, 0, 0, 0)
-
-    def terms(self, value: ExtScalar) -> tuple:
-        """(even, odd, odd * modulus) flat terms of an extension element."""
-        return (_flat1(value.even._terms), _flat1(value.odd._terms),
-                _flat1((value.odd * value.modulus)._terms))
-
-    def norm(self, polys: tuple) -> float:
-        ev, od, odp = polys
-        return _l1(ev) + max(_l1(od), _l1(odp))
-
-    def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
-        return tuple(tuple((delta,) + term for delta, *polys in outputs
-                           for term in _shifts(polys[part], offset, width))
-                     for part in range(3))
-
-    def apply(self, state: dict, shift: int, table: list) -> dict:
-        out: dict = {}
-        get = out.get
-        for key, (ea, eb, oa, ob) in state.items():
-            evens, odds, lowers = table[(key >> shift) & 15]
-            for delta, s, a, b, ab in evens:
-                nk = key + delta
-                xa = (ea * a - eb * b) << s
-                xb = (ea * b + eb * ab) << s
-                ya = (oa * a - ob * b) << s
-                yb = (oa * b + ob * ab) << s
-                cur = get(nk)
-                out[nk] = ((xa, xb, ya, yb) if cur is None else
-                           (cur[0] + xa, cur[1] + xb, cur[2] + ya, cur[3] + yb))
-            for delta, s, a, b, ab in odds:
-                nk = key + delta
-                ya = (ea * a - eb * b) << s
-                yb = (ea * b + eb * ab) << s
-                cur = get(nk)
-                out[nk] = ((0, 0, ya, yb) if cur is None else
-                           (cur[0], cur[1], cur[2] + ya, cur[3] + yb))
-            if oa or ob:
-                for delta, s, a, b, ab in lowers:
-                    nk = key + delta
-                    xa = (oa * a - ob * b) << s
-                    xb = (oa * b + ob * ab) << s
-                    cur = get(nk)
-                    out[nk] = ((xa, xb, 0, 0) if cur is None else
-                               (cur[0] + xa, cur[1] + xb, cur[2], cur[3]))
-        return {k: v for k, v in out.items() if v[0] or v[1] or v[2] or v[3]}
-
-    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> tuple:
-        """dst += src * weight, with an even (coefficient-ring) weight."""
-        s, a, b, ab = weight
-        ea, eb, oa, ob = src
-        return (dst[0] + ((ea * a - eb * b) << s),
-                dst[1] + ((ea * b + eb * ab) << s),
-                dst[2] + ((oa * a - ob * b) << s),
-                dst[3] + ((oa * b + ob * ab) << s))
-
-    def wrap(self, total: tuple, base: int, width: int) -> ExtScalar:
-        return ext_specialized(_unpack(total[0], total[1], base, width),
-                               _unpack(total[2], total[3], base, width))
-
-
 class _GenKernel:
-    """Generic Links-Gould amplitudes: (even, odd) pairs of {key: int} dicts
-    over Z[s0:pm1, s1:pm1], with s0**e0 s1**e1 keyed (e0 << 20) + e1.
+    """Generic Links-Gould amplitudes: {key: int} dicts over
+    Z[s0:pm1, s1:pm1], with s0**e0 s1**e1 keyed (e0 << 20) + e1.
 
     Keys add like exponents, so the walk needs no offsets (``low`` is 0) and
     no slot width; ``width`` only checks that every |e1| stays below 2**19,
@@ -353,24 +274,23 @@ class _GenKernel:
 
     __slots__ = ()
 
-    def one(self) -> tuple:
-        return ({0: 1}, {})
+    def one(self) -> dict:
+        return {0: 1}
 
-    def zero(self) -> tuple:
-        return ({}, {})
+    def zero(self) -> dict:
+        return {}
 
-    def terms(self, value: ExtScalar) -> tuple:
-        """(even, odd, odd * modulus) flat (key, c) terms."""
-        return tuple(tuple((_key2(*e), c) for e, c in sorted(p._terms.items()))
-                     for p in (value.even, value.odd, value.odd * value.modulus))
+    def terms(self, value: LaurentPoly2) -> tuple:
+        """Ring element -> flat (key, c) terms."""
+        return tuple((_key2(*e), c) for e, c in sorted(value._terms.items()))
 
     def low(self, polys) -> int:
         return 0
 
     def growth(self, columns) -> int:
         """The largest |e1| of one letter's table."""
-        return max((abs(_unkey2(k)[1]) for col in columns for polys in col
-                    for poly in polys for k, _ in poly), default=0)
+        return max((abs(_unkey2(k)[1]) for col in columns for poly in col
+                    for k, _ in poly), default=0)
 
     def width(self, growth: int, strands: int, d: int) -> int | None:
         return 0 if growth < _E1_HALF else None
@@ -380,30 +300,18 @@ class _GenKernel:
 
     def apply(self, state: dict, shift: int, table: list) -> dict:
         out: dict = {}
-        for key, (ae, ao) in state.items():
-            for delta, ev, od, odp in table[(key >> shift) & 15]:
+        for key, amp in state.items():
+            for delta, terms in table[(key >> shift) & 15]:
                 nk = key + delta
                 acc = out.get(nk)
                 if acc is None:
-                    acc = ({}, {})
-                    out[nk] = acc
-                de, do = acc
-                if ev:
-                    if ae:
-                        _conv_int2(de, ae, ev)
-                    if ao:
-                        _conv_int2(do, ao, ev)
-                if od:
-                    if ae:
-                        _conv_int2(do, ae, od)
-                    if ao:
-                        _conv_int2(de, ao, odp)   # odd*odd picks up Y**2
+                    acc = out[nk] = {}
+                _conv_int2(acc, amp, terms)
         res: dict = {}
-        for nk, (de, do) in out.items():
-            de = _prune_int2(de)
-            do = _prune_int2(do)
-            if de or do:
-                res[nk] = (de, do)
+        for nk, acc in out.items():
+            acc = _prune_int2(acc)
+            if acc:
+                res[nk] = acc
         return res
 
     def weight(self, mons: list, m: tuple[int, ...], low: int,
@@ -415,25 +323,19 @@ class _GenKernel:
             weight = nxt
         return tuple(weight.items())
 
-    def accumulate(self, dst: tuple, src: tuple, weight: tuple) -> tuple:
-        """dst += src * weight, with an even (coefficient-ring) weight."""
-        if src[0]:
-            _conv_int2(dst[0], src[0], weight)
-        if src[1]:
-            _conv_int2(dst[1], src[1], weight)
+    def accumulate(self, dst: dict, src: dict, weight: tuple) -> dict:
+        _conv_int2(dst, src, weight)
         return dst
 
-    def add(self, dst: tuple, src: tuple) -> tuple:
-        _add_int2(dst[0], src[0])
-        _add_int2(dst[1], src[1])
+    def add(self, dst: dict, src: dict) -> dict:
+        _add_int2(dst, src)
         return dst
 
-    def is_zero(self, total: tuple) -> bool:
-        return not (_prune_int2(total[0]) or _prune_int2(total[1]))
+    def is_zero(self, total: dict) -> bool:
+        return not _prune_int2(total)
 
-    def wrap(self, total: tuple, base: int, width: int) -> ExtScalar:
-        return ext_generic(*(LaurentPoly2({_unkey2(k): c for k, c in p.items()})
-                             for p in total))
+    def wrap(self, total: dict, base: int, width: int) -> LaurentPoly2:
+        return LaurentPoly2({_unkey2(k): c for k, c in total.items()})
 
 
 # --- operator compilation ---------------------------------------------------
@@ -444,7 +346,7 @@ class _Letter(NamedTuple):
     shift: int          # bit position of the strand pair it acts on
     offset: int         # least exponent in its table
     growth: float       # what one application can add (kernel ``growth``)
-    table: list         # pattern -> ((pattern delta, *flat polynomials), ...)
+    table: list         # pattern -> ((pattern delta, flat polynomial), ...)
 
 
 def _compile_letter(op: LocalOperator, d: int, kernel) -> _Letter:
@@ -460,11 +362,10 @@ def _compile_letter(op: LocalOperator, d: int, kernel) -> _Letter:
         for row, value in cols.get(d * i + j, ()):
             i2, j2 = divmod(row, d)
             npb = i2 | (j2 << 2)
-            outs.append((npb - pb,) + kernel.terms(value))
+            outs.append((npb - pb, kernel.terms(value)))
         table[pb] = tuple(outs)
-    columns = [[out[1:] for out in outs] for outs in table if outs]
-    offset = kernel.low(poly for col in columns for polys in col
-                        for poly in polys)
+    columns = [[flat for _, flat in outs] for outs in table if outs]
+    offset = kernel.low(flat for col in columns for flat in col)
     return _Letter(0, offset, kernel.growth(columns), table)
 
 
@@ -482,7 +383,7 @@ _BUILDERS = {
     "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, _CycKernel(), 3),
     "lg": (build_lg_r, build_lg_r_inverse, build_lg_h, _GenKernel(), 4),
     "lg-spec": (build_lg_r_specialized, build_lg_r_inverse_specialized,
-                build_lg_h_specialized, _SpecKernel(), 4),
+                build_lg_h_specialized, _CycKernel(), 4),
 }
 
 
@@ -499,7 +400,7 @@ def _tables_for(invariant: str, strands: int,
     key deltas moved to the letter's strand pair."""
     kernel = _BUILDERS[invariant][3]
     return {letter: (c.shift, c.offset, [
-        kernel.pack(tuple((out[0] << c.shift,) + out[1:] for out in outs),
+        kernel.pack(tuple((delta << c.shift, flat) for delta, flat in outs),
                     c.offset, width) for outs in c.table])
             for letter, c in _letters_for(invariant, strands).items()}
 
@@ -509,13 +410,10 @@ def _weight_monomials(invariant: str) -> tuple[list[tuple], float]:
     """The closure weight of each basis vector as a single compiled term,
     and their growth (as if they were the columns of one letter)."""
     _, _, build_h, kernel, _ = _BUILDERS[invariant]
-    compiled = [kernel.terms(v) for v in build_h().values]
-    for terms, *odd in compiled:
-        if any(odd):
-            raise ValueError("closure weights must be even")
-        if len(terms) != 1:
-            raise ValueError("closure weights must be monomials")
-    return [c[0] for c in compiled], kernel.growth([[c] for c in compiled])
+    mons = [kernel.terms(v) for v in build_h().values]
+    if any(len(terms) != 1 for terms in mons):
+        raise ValueError("closure weights must be monomials")
+    return mons, kernel.growth([[terms] for terms in mons])
 
 
 def _slot_width(invariant: str, strands: int,
@@ -640,7 +538,7 @@ def _trace_totals(invariant: str, strands: int,
 
 def _finalize(invariant: str, braid: BraidWord, totals: dict,
               columns: Sequence[int], base: int, width: int):
-    """Proportionality and odd-part checks, then the invariant value."""
+    """Proportionality checks, then the invariant value."""
     kernel = _BUILDERS[invariant][3]
     for (a, c), total in totals.items():
         if a != c and not kernel.is_zero(total):
@@ -654,17 +552,18 @@ def _finalize(invariant: str, braid: BraidWord, totals: dict,
             raise ProportionalityError(
                 f"{invariant} closure operator of {braid} is diagonal but not "
                 f"scalar (block {c} differs)")
-    if not isinstance(scalar, ExtScalar):
-        return scalar
-    if scalar.odd:
-        raise ProportionalityError(
-            f"{invariant} scalar of {braid} has a nonzero odd part: {scalar.odd}")
-    return scalar.even
+    return scalar
+
+
+# The trace walks d**(n - 1) middle indices per column, 4**7 = 16384 for
+# Links-Gould on 8 strands; braids on more strands are refused.
+MAX_STRANDS = 8
 
 
 def closure_values(invariant: str, braids: Sequence[BraidWord], *,
                    paranoid: bool = False, pool=None, jobs: int = 1) -> list:
-    """Exact invariant values of the closures of braids on one strand count.
+    """Exact invariant values of the closures of braids on one strand count,
+    at most ``MAX_STRANDS``.
 
     All braids go through one trie walk, with one slot width.  With a pool
     and jobs > 1 the middle indices are split into ``jobs`` chunks whose raw
@@ -676,6 +575,9 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     strands = braids[0].strands
     if any(b.strands != strands for b in braids):
         raise ValueError("braids of one trace must share a strand count")
+    if strands > MAX_STRANDS:
+        raise ValueError(f"{invariant}: a braid on {strands} strands is above "
+                         f"the bound of {MAX_STRANDS} strands")
     kernel, d = _BUILDERS[invariant][3:]
     unique: dict[tuple[int, ...], BraidWord] = {}
     for b in braids:
@@ -712,12 +614,7 @@ def compute_ado3(b: BraidWord, *, paranoid: bool = False) -> InvariantValue:
 
 
 def compute_lg(b: BraidWord, *, paranoid: bool = False) -> InvariantValue:
-    """Links-Gould invariant, generic two variables.
-
-    The raw scalar lives in the Y-extension; for closures the odd part
-    vanishes and the even part is the invariant.  A nonzero odd part is a
-    hard error, like the proportionality check.
-    """
+    """Links-Gould invariant, generic two variables."""
     return _compute("lg", b, paranoid)
 
 

@@ -7,9 +7,11 @@ small vector space V with basis v_0..v_{d-1}:
   quantum-sl2 formula at sixth root of unity q = w, with the color variable
   realized as q**lambda = t.  Entries are one-variable Laurent polynomials
   over Z[w].
-* the Links-Gould representation (d = 4) from quantum gl(2|1), with entries in
-  two variables t0 = s0**2, t1 = s1**2 and the square root
-  Y = sqrt((t0 - 1)(1 - t1)) adjoined.
+* the Links-Gould representation (d = 4) from quantum gl(2|1), in two
+  variables t0 = s0**2, t1 = s1**2.  Its literature form needs the square root
+  Y = sqrt((t0 - 1)(1 - t1)); conjugating by diag(1, 1, 1, Y) on each strand
+  (a gauge that leaves every closure value alone) puts all entries in
+  Z[s0**±1, s1**±1].
 
 Positive braid letters act by R, negative by its inverse; R**-1 is derived
 from the cubic minimal polynomial of R and verified by multiplication, never
@@ -28,11 +30,9 @@ from typing import Callable, Mapping
 
 from .ring import (
     CycScalar,
-    ExtScalar,
     GENERIC_MODULUS,
     LaurentPoly1,
     LaurentPoly2,
-    ext_generic,
     specialize,
 )
 
@@ -226,12 +226,47 @@ def _p2(e0: int, e1: int, c: int = 1) -> LaurentPoly2:
     return LaurentPoly2.monomial(e0, e1, c)
 
 
+def _n3(x: int) -> int:
+    """The number of v_3 factors in the basis pair x = 4i + j."""
+    return (x >> 2 == 3) + (x & 3 == 3)
+
+
+def _gauge(even: Mapping, odd: Mapping) -> dict:
+    """R-matrix cells conjugated by D (x) D, D = diag(1, 1, 1, Y).
+
+    Cell (r, c) is scaled by Y**(n3(c) - n3(r)).  An even cell must keep
+    n3, so it is unchanged.  An odd cell o*Y must move exactly one v_3: it
+    becomes o*p (Y**2 = p, ``GENERIC_MODULUS``) when the column has the extra
+    v_3 and o when the row has it.  Anything else raises ValueError.
+    """
+    cells = {}
+    for (r, c), v in even.items():
+        if _n3(r) != _n3(c):
+            raise ValueError(f"even cell ({r}, {c}) changes the v_3 count")
+        cells[r, c] = v
+    for (r, c), o in odd.items():
+        step = _n3(c) - _n3(r)
+        if step not in (1, -1):
+            raise ValueError(f"odd cell ({r}, {c}) moves {step} v_3 factors, "
+                             f"not one")
+        cells[r, c] = o * GENERIC_MODULUS if step == 1 else o
+    return cells
+
+
 @lru_cache(maxsize=None)
 def build_lg_r() -> LocalOperator:
-    """Links-Gould R-matrix on V (x) V, dim V = 4, transcribed entrywise.
+    """Links-Gould R-matrix on V (x) V, dim V = 4, in the diag(1, 1, 1, Y)
+    gauge, with entries in Z[s0**±1, s1**±1].
 
-    Entries live in Z[s0**±1, s1**±1] extended by Y with
-    Y**2 = (t0 - 1)(1 - t1), t0 = s0**2, t1 = s1**2.
+    The transcription is the literature's: ``even`` cells in t0 = s0**2,
+    t1 = s1**2, and ``odd`` cells, the coefficients of Y with
+    Y**2 = (t0 - 1)(1 - t1).  ``_gauge`` conjugates by D (x) D.  The closure
+    weights are diagonal, so D leaves them alone, and the (a, c) block of a
+    closure's partial trace is scaled by Y**(n3(c) - n3(a)): every diagonal
+    block, the invariant among them, is what the Y form gives.  The gauge
+    rule also proves that the Y form's scalar has no odd part: each even
+    cell keeps n3 and each odd cell changes it by one, so a product of cells
+    from a basis vector back to itself holds an even number of odd cells.
     """
     one = LaurentPoly2.one()
     s0 = _p2(1, 0)
@@ -270,37 +305,23 @@ def build_lg_r() -> LocalOperator:
         (12, 6): -s0s1,
         (12, 9): one,
     }
-    entries: dict[tuple[int, int], ExtScalar] = {}
-    for rc, v in even.items():
-        entries[rc] = ext_generic(even=v)
-    for rc, v in odd.items():
-        cur = entries.get(rc)
-        entries[rc] = (ext_generic(odd=v) if cur is None
-                       else ExtScalar(cur.even, cur.odd + v, cur.modulus))
-    return LocalOperator(LG_DIM * LG_DIM, entries)
+    return LocalOperator(LG_DIM * LG_DIM, _gauge(even, odd))
 
 
 @lru_cache(maxsize=None)
 def build_lg_h() -> DiagonalOperator:
     """Links-Gould closure weight diag(t0**-1, -t1, -t0**-1, t1)."""
-    return DiagonalOperator((
-        ext_generic(even=_p2(-2, 0)),
-        ext_generic(even=_p2(0, 2, -1)),
-        ext_generic(even=_p2(-2, 0, -1)),
-        ext_generic(even=_p2(0, 2)),
-    ))
+    return DiagonalOperator((_p2(-2, 0), _p2(0, 2, -1), _p2(-2, 0, -1),
+                             _p2(0, 2)))
 
 
-def lg_cubic_coeffs() -> tuple[ExtScalar, ExtScalar, ExtScalar]:
+def lg_cubic_coeffs() -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
     """(c2, c1, c0) with R**3 = c2 R**2 + c1 R + c0 Id for the d=4 R-matrix."""
     one = LaurentPoly2.one()
     t0 = _p2(2, 0)
     t1 = _p2(0, 2)
     t0t1 = _p2(2, 2)
-    c2 = ext_generic(even=t0 + t1 - one)
-    c1 = ext_generic(even=t0 + t1 - t0t1)
-    c0 = ext_generic(even=-t0t1)
-    return c2, c1, c0
+    return t0 + t1 - one, t0 + t1 - t0t1, -t0t1
 
 
 @lru_cache(maxsize=None)
@@ -314,9 +335,9 @@ def build_lg_h_specialized() -> DiagonalOperator:
     return DiagonalOperator(tuple(specialize(v) for v in build_lg_h().values))
 
 
-def lg_specialized_cubic_coeffs() -> tuple[ExtScalar, ExtScalar, ExtScalar]:
-    c2, c1, c0 = lg_cubic_coeffs()
-    return specialize(c2), specialize(c1), specialize(c0)
+def lg_specialized_cubic_coeffs() -> tuple[LaurentPoly1, LaurentPoly1,
+                                           LaurentPoly1]:
+    return tuple(specialize(c) for c in lg_cubic_coeffs())
 
 
 # --- inversion and derived operators ---------------------------------------
@@ -327,8 +348,6 @@ def _ring_one_like(x):
         return LaurentPoly1.one()
     if isinstance(x, LaurentPoly2):
         return LaurentPoly2.one()
-    if isinstance(x, ExtScalar):
-        return ExtScalar(_ring_one_like(x.even), type(x.even).zero(), x.modulus)
     raise TypeError(f"unsupported ring element {type(x).__name__}")
 
 
@@ -336,10 +355,6 @@ def ring_unit_inverse(x):
     """Inverse of a unit-monomial ring element (the only divisions we allow)."""
     if isinstance(x, (LaurentPoly1, LaurentPoly2)):
         return x.unit_monomial_inverse()
-    if isinstance(x, ExtScalar):
-        if x.odd:
-            raise ZeroDivisionError("cannot invert an ExtScalar with odd part")
-        return ExtScalar(ring_unit_inverse(x.even), type(x.even).zero(), x.modulus)
     raise TypeError(f"unsupported ring element {type(x).__name__}")
 
 
@@ -385,11 +400,6 @@ def skein_variable_pair(sample) -> tuple:
     Two-variable rings carry t0, t1 themselves; the one-variable ring sees
     them through the specialization t0 = t**2, t1 = w**2 t**-2.
     """
-    if isinstance(sample, ExtScalar):
-        t0, t1 = skein_variable_pair(sample.even)
-        zero = type(sample.even).zero()
-        return (ExtScalar(t0, zero, sample.modulus),
-                ExtScalar(t1, zero, sample.modulus))
     if isinstance(sample, LaurentPoly2):
         return _p2(2, 0), _p2(0, 2)
     if isinstance(sample, LaurentPoly1):

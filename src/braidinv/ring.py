@@ -11,16 +11,16 @@ Useful consequences: w**3 = -1, w**-1 = 1 - w, and (2w - 1)**2 = -3, so
 + b**2 is multiplicative; the units are exactly the six elements of norm one,
 {1, w, w - 1, -1, -w, 1 - w} = {w**k : 0 <= k < 6}.
 
-On top of the scalars live three polynomial-flavoured types:
+On top of the scalars live two polynomial types:
 
 * ``LaurentPoly1``  -- Laurent polynomials in one variable t with CycScalar
   coefficients (the value ring of the colored Alexander invariant).
 * ``LaurentPoly2``  -- integer Laurent polynomials in two variables s0, s1,
   where the geometrically meaningful variables are t0 = s0**2, t1 = s1**2;
   "is a polynomial in t0, t1" means every exponent pair is even.
-* ``ExtScalar``     -- elements e + o*Y of a rank-2 extension with Y**2 = p
-  for a fixed modulus polynomial p (the square-root scalar the two-variable
-  R-matrix needs).
+
+No square root is adjoined: the Links-Gould R-matrix is gauged so that its
+entries lie in Z[s0**±1, s1**±1] (see ``rep.build_lg_r``).
 
 ``specialize`` maps the two-variable world onto the one-variable world by
 t0 = t**2, t1 = w**2 * t**-2, realized on the square roots as s0 -> t and
@@ -499,85 +499,11 @@ class LaurentPoly2:
         return f"LaurentPoly2({self._terms!r})"
 
 
-class ExtScalar:
-    """Element even + odd*Y of a rank-2 extension with Y**2 = modulus.
-
-    The even/odd components and the modulus live in a common coefficient ring
-    (LaurentPoly2 for the generic two-variable scalars, LaurentPoly1 after
-    specialization).  Arithmetic requires equal moduli.
-    """
-
-    __slots__ = ("even", "odd", "modulus")
-
-    def __init__(self, even, odd, modulus) -> None:
-        self.even = even
-        self.odd = odd
-        self.modulus = modulus
-
-    def _check(self, other: "ExtScalar") -> None:
-        if self.modulus is not other.modulus and self.modulus != other.modulus:
-            raise ValueError("ExtScalar arithmetic across different moduli")
-
-    def __add__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        return ExtScalar(self.even + other.even, self.odd + other.odd, self.modulus)
-
-    def __sub__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        return ExtScalar(self.even - other.even, self.odd - other.odd, self.modulus)
-
-    def __neg__(self) -> "ExtScalar":
-        return ExtScalar(-self.even, -self.odd, self.modulus)
-
-    def __mul__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        e1, o1, e2, o2 = self.even, self.odd, other.even, other.odd
-        return ExtScalar(e1 * e2 + (o1 * o2) * self.modulus,
-                         e1 * o2 + o1 * e2, self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ExtScalar)
-                and self.even == other.even
-                and self.odd == other.odd
-                and self.modulus == other.modulus)
-
-    def __bool__(self) -> bool:
-        return bool(self.even) or bool(self.odd)
-
-    def y_conjugate(self) -> "ExtScalar":
-        """The automorphism Y -> -Y; invariant values must be fixed by it."""
-        return ExtScalar(self.even, -self.odd, self.modulus)
-
-    def __str__(self) -> str:
-        if not self.odd:
-            return str(self.even)
-        return f"{self.even} + Y*[{self.odd}]"
-
-    def __repr__(self) -> str:
-        return f"ExtScalar({self.even!r}, {self.odd!r})"
-
-
-# Y**2 for the generic two-variable extension: (t0 - 1)(1 - t1) expanded in s.
+# p = (t0 - 1)(1 - t1) expanded in s: the square Y**2 of the scalar the
+# Links-Gould R-matrix is transcribed with (see rep.build_lg_r).
 GENERIC_MODULUS = LaurentPoly2(
     {(2, 0): 1, (2, 2): -1, (0, 0): -1, (0, 2): 1}
 )
-
-# Its image under t0 = t**2, t1 = w**2 t**-2: t**2 - w + (w - 1) t**-2.
-SPECIALIZED_MODULUS = LaurentPoly1({2: (1, 0), 0: (0, -1), -2: (-1, 1)})
-
-
-def ext_generic(even: LaurentPoly2 | None = None,
-                odd: LaurentPoly2 | None = None) -> ExtScalar:
-    return ExtScalar(even if even is not None else LaurentPoly2.zero(),
-                     odd if odd is not None else LaurentPoly2.zero(),
-                     GENERIC_MODULUS)
-
-
-def ext_specialized(even: LaurentPoly1 | None = None,
-                    odd: LaurentPoly1 | None = None) -> ExtScalar:
-    return ExtScalar(even if even is not None else LaurentPoly1.zero(),
-                     odd if odd is not None else LaurentPoly1.zero(),
-                     SPECIALIZED_MODULUS)
 
 
 def specialize_poly2(p: LaurentPoly2) -> LaurentPoly1:
@@ -597,15 +523,10 @@ def specialize_poly2(p: LaurentPoly2) -> LaurentPoly1:
     return LaurentPoly1(terms)
 
 
-def specialize(x: Union[LaurentPoly2, ExtScalar]) -> Union[LaurentPoly1, ExtScalar]:
+def specialize(x: LaurentPoly2) -> LaurentPoly1:
     """Apply t0 = t**2, t1 = w**2 t**-2 to a two-variable value."""
     if isinstance(x, LaurentPoly2):
         return specialize_poly2(x)
-    if isinstance(x, ExtScalar):
-        if not isinstance(x.even, LaurentPoly2):
-            raise TypeError("ExtScalar is already specialized")
-        return ExtScalar(specialize_poly2(x.even), specialize_poly2(x.odd),
-                         SPECIALIZED_MODULUS)
     raise TypeError(f"cannot specialize {type(x).__name__}")
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .braid import BraidWord
-from .ring import CycScalar, LaurentPoly1
+from braidinv.braid import BraidWord
+from braidinv.ring import CycScalar, LaurentPoly1
 
 _DIM = 3
 

@@ -15,7 +15,6 @@ from braidinv.invariant import (
     compute_lg,
     compute_lg_specialized,
 )
-from braidinv.oracle import ado3_reference
 from braidinv.rep import build_ado3_r
 from braidinv.ring import specialize
 from braidinv.verify import (
@@ -25,6 +24,7 @@ from braidinv.verify import (
     check_skein_lg,
     check_symmetry,
 )
+from oracle import ado3_reference
 from support import printed_ado_entries, random_braid
 
 

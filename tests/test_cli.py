@@ -78,6 +78,19 @@ class TestCompute:
         assert (rc, out) == (2, "")
         assert "200000 letters" in err
 
+    def test_too_many_strands(self, capsys):
+        for inv in ("ado3", "lg-spec", "lg"):
+            rc, out, err = run(capsys, "compute", "--invariant", inv,
+                               "--braid", "{20,{1}}")
+            assert (rc, out) == (2, "")
+            assert "20 strands" in err and "bound of 8 strands" in err
+
+    def test_strand_bound_still_computes(self, capsys):
+        # the closure of s1 s2 ... s7 on 8 strands is the unknot
+        rc, out, _ = run(capsys, "compute", "--invariant", "ado3",
+                         "--braid", "{8,{1,2,3,4,5,6,7}}")
+        assert (rc, out) == (0, "(1)\n")
+
     def test_braid_and_file_mutually_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "--invariant", "ado3", "--braid", "{1,{}}",

@@ -4,8 +4,8 @@ import random
 
 from braidinv.braid import BraidWord, parse_braid
 from braidinv.invariant import compute_ado3
-from braidinv.oracle import ado3_reference
 from braidinv.ring import CycScalar, LaurentPoly1
+from oracle import ado3_reference
 from support import random_braid
 
 

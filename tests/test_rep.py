@@ -8,6 +8,8 @@ from braidinv.rep import (
     ADO_DIM,
     LG_DIM,
     LocalOperator,
+    _gauge,
+    _n3,
     ado_cubic_coeffs,
     build_ado3_h,
     build_ado3_r,
@@ -31,7 +33,6 @@ from braidinv.ring import (
     GENERIC_MODULUS,
     LaurentPoly1,
     LaurentPoly2,
-    ext_generic,
     specialize,
 )
 from support import ISQRT3, printed_ado_entries
@@ -125,30 +126,46 @@ class TestAdoR:
 class TestLgR:
     def test_pinned_entries(self):
         r = build_lg_r()
-        assert r.get(0, 0) == ext_generic(even=LaurentPoly2.monomial(2, 0))
-        corner = r.get(12, 12)
-        assert corner.even == GENERIC_MODULUS        # the printed Y^2 cell
-        assert not corner.odd
-        assert r.get(6, 9) == ext_generic(even=LaurentPoly2.monomial(1, 1, -1))
-        assert r.get(4, 1) == ext_generic(even=LaurentPoly2.monomial(1, 0))
-        assert r.get(15, 15) == ext_generic(even=LaurentPoly2.monomial(0, 2))
-        assert r.get(12, 9).odd == LaurentPoly2.one()   # a bare Y cell
+        mon = LaurentPoly2.monomial
+        p = GENERIC_MODULUS
+        assert r.get(0, 0) == mon(2, 0)
+        assert r.get(12, 12) == p                   # the printed Y^2 cell
+        assert r.get(6, 9) == mon(1, 1, -1)
+        assert r.get(4, 1) == mon(1, 0)
+        assert r.get(15, 15) == mon(0, 2)
+        # the four Y cells: times p when the column holds the extra v_3,
+        # bare when the row does
+        assert r.get(6, 12) == mon(1, 1, -1) * p
+        assert r.get(12, 6) == mon(1, 1, -1)
+        assert r.get(9, 12) == p
+        assert r.get(12, 9) == LaurentPoly2.one()
         assert r.nnz() == 26
 
     def test_symmetric(self):
+        # the Y form is symmetric: R[r, c] = Y**(n3(r) - n3(c)) R'[r, c] for
+        # the gauged R', so p**n3(r) R'[r, c] = p**n3(c) R'[c, r]
         r = build_lg_r()
+        p = GENERIC_MODULUS
         for row, col, v in r.entries():
-            assert r.get(col, row) == v
+            assert p ** _n3(row) * v == p ** _n3(col) * r.get(col, row)
+
+    def test_gauge_rule_rejects_misplaced_cells(self):
+        one = LaurentPoly2.one()
+        assert _gauge({}, {(12, 9): one}) == {(12, 9): one}
+        # v_1 (x) v_2 -> v_2 (x) v_1 moves no v_3: not a Y cell
+        with pytest.raises(ValueError, match="odd cell"):
+            _gauge({}, {(6, 9): one})
+        # v_3 (x) v_3 -> v_0 (x) v_0 moves two
+        with pytest.raises(ValueError, match="odd cell"):
+            _gauge({}, {(0, 15): one})
+        with pytest.raises(ValueError, match="even cell"):
+            _gauge({(6, 12): one}, {})
 
     def test_h_weights(self):
         h = build_lg_h()
         mon = LaurentPoly2.monomial
-        assert h.values == (
-            ext_generic(even=mon(-2, 0)),
-            ext_generic(even=mon(0, 2, -1)),
-            ext_generic(even=mon(-2, 0, -1)),
-            ext_generic(even=mon(0, 2)),
-        )
+        assert h.values == (mon(-2, 0), mon(0, 2, -1), mon(-2, 0, -1),
+                            mon(0, 2))
 
     def test_cubic_relation_generic_and_specialized(self):
         assert not _cubic_residual(build_lg_r(), lg_cubic_coeffs())
@@ -158,15 +175,13 @@ class TestLgR:
     def test_cubic_coeffs_pinned(self):
         c2, c1, c0 = lg_cubic_coeffs()
         mon = LaurentPoly2.monomial
-        assert c2 == ext_generic(even=mon(2, 0) + mon(0, 2) - LaurentPoly2.one())
-        assert c1 == ext_generic(even=mon(2, 0) + mon(0, 2) - mon(2, 2))
-        assert c0 == ext_generic(even=mon(2, 2, -1))
+        assert c2 == mon(2, 0) + mon(0, 2) - LaurentPoly2.one()
+        assert c1 == mon(2, 0) + mon(0, 2) - mon(2, 2)
+        assert c0 == mon(2, 2, -1)
 
     def test_specialized_cubic_matches_ado_cubic(self):
         # the specialization collapses the two cubics onto each other
-        spec = lg_specialized_cubic_coeffs()
-        assert tuple(c.even for c in spec) == ado_cubic_coeffs()
-        assert not any(c.odd for c in spec)
+        assert lg_specialized_cubic_coeffs() == ado_cubic_coeffs()
 
     def test_inverses(self):
         for build_r, build_rinv in (
@@ -188,8 +203,7 @@ class TestLgR:
 
     def test_specialized_entries_are_one_variable(self):
         for _, _, v in build_lg_r_specialized().entries():
-            assert isinstance(v.even, LaurentPoly1)
-            assert isinstance(v.odd, LaurentPoly1)
+            assert isinstance(v, LaurentPoly1)
         spec_direct = build_lg_r().map_values(specialize)
         assert spec_direct == build_lg_r_specialized()
 
@@ -217,11 +231,11 @@ class TestInvertR:
 class TestQOperators:
     def test_degenerate_identity_input(self):
         # with R = Id the cleared Q0 collapses to (t0 + t0(1-t1) - t0 t1) Id
-        ident = LocalOperator.identity(16, ext_generic(even=LaurentPoly2.one()))
+        ident = LocalOperator.identity(16, LaurentPoly2.one())
         q0, q1 = build_q_operators(ident, ident)
         mon = LaurentPoly2.monomial
-        s0 = ext_generic(even=mon(2, 0, 2) + mon(2, 2, -2))
-        s1 = ext_generic(even=mon(0, 2, 2) + mon(2, 2, -2))
+        s0 = mon(2, 0, 2) + mon(2, 2, -2)
+        s1 = mon(0, 2, 2) + mon(2, 2, -2)
         assert q0 == LocalOperator(16, {(i, i): s0 for i in range(16)})
         assert q1 == LocalOperator(16, {(i, i): s1 for i in range(16)})
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic: Z[w], Laurent polynomials, the Y-extension."""
+"""Exact arithmetic: Z[w], Laurent polynomials, the specialization."""
 
 import random
 
@@ -9,14 +9,12 @@ from braidinv.ring import (
     GENERIC_MODULUS,
     LaurentPoly1,
     LaurentPoly2,
-    SPECIALIZED_MODULUS,
     cyc_units,
-    ext_generic,
-    ext_specialized,
     parse_poly,
     specialize,
     specialize_poly2,
 )
+from braidinv.rep import _gauge
 from support import ISQRT3, random_cyc, random_poly1, random_poly2
 
 
@@ -155,6 +153,8 @@ class TestLaurentPoly1:
 
 class TestLaurentPoly2:
     def test_generic_modulus_expansion(self):
+        # p = Y**2: the gauged Links-Gould matrix holds p where the Y form
+        # multiplies two Y cells
         t0 = LaurentPoly2.monomial(2, 0)
         t1 = LaurentPoly2.monomial(0, 2)
         one = LaurentPoly2.one()
@@ -177,36 +177,17 @@ class TestLaurentPoly2:
 
 
 class TestExtScalar:
+    """The Y = sqrt(p) extension, which the package now realises only
+    through the diag(1, 1, 1, Y) gauge of the Links-Gould R-matrix."""
+
     def test_y_squared_is_modulus(self):
-        y = ext_generic(odd=LaurentPoly2.one())
-        assert y * y == ext_generic(even=GENERIC_MODULUS)
-
-    def test_difference_of_squares(self):
-        one = ext_generic(even=LaurentPoly2.one())
-        y = ext_generic(odd=LaurentPoly2.one())
-        assert (one + y) * (one - y) == ext_generic(
-            even=LaurentPoly2.one() - GENERIC_MODULUS)
-
-    def test_specialized_modulus_derived(self):
-        # t0 = t^2, t1 = w^2 t^-2 in (t0 - 1)(1 - t1), reduced by w^2 = w - 1
-        assert specialize_poly2(GENERIC_MODULUS) == SPECIALIZED_MODULUS
-        assert SPECIALIZED_MODULUS == LaurentPoly1(
-            {2: ONE, 0: -W, -2: W * W})
-        y = ext_specialized(odd=LaurentPoly1.one())
-        assert y * y == ext_specialized(even=SPECIALIZED_MODULUS)
-
-    def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ext_generic(even=LaurentPoly2.one()) * ext_specialized(
-                even=LaurentPoly1.one())
-
-    def test_y_conjugation_is_automorphism(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            x = ext_generic(random_poly2(rng), random_poly2(rng))
-            y = ext_generic(random_poly2(rng), random_poly2(rng))
-            assert (x * y).y_conjugate() == x.y_conjugate() * y.y_conjugate()
-            assert (x + y).y_conjugate() == x.y_conjugate() + y.y_conjugate()
+        # v_1 (x) v_2 -> v_3 (x) v_0 -> v_1 (x) v_2 crosses two Y cells; in
+        # the gauge the column-up cell carries p and the row-up cell 1
+        one = LaurentPoly2.one()
+        cells = _gauge({}, {(6, 12): one, (12, 6): one})
+        assert cells[6, 12] == GENERIC_MODULUS
+        assert cells[12, 6] == one
+        assert cells[6, 12] * cells[12, 6] == GENERIC_MODULUS
 
 
 class TestSpecialize:
@@ -218,10 +199,14 @@ class TestSpecialize:
         assert specialize_poly2(LaurentPoly2.monomial(1, 1)) == \
             LaurentPoly1.constant(W)                           # s0 s1 -> w
 
+    def test_specialized_modulus_derived(self):
+        # t0 = t^2, t1 = w^2 t^-2 in (t0 - 1)(1 - t1), reduced by w^2 = w - 1
+        assert specialize_poly2(GENERIC_MODULUS) == LaurentPoly1(
+            {2: ONE, 0: -W, -2: W * W})
+
     def test_specialize_is_homomorphism(self):
         rng = random.Random(19)
         for _ in range(200):
-            x = ext_generic(random_poly2(rng), random_poly2(rng))
-            y = ext_generic(random_poly2(rng), random_poly2(rng))
+            x, y = random_poly2(rng), random_poly2(rng)
             assert specialize(x * y) == specialize(x) * specialize(y)
             assert specialize(x + y) == specialize(x) + specialize(y)
