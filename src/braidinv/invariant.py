@@ -1,12 +1,10 @@
 """Braid-closure invariants via sparse state evolution and partial trace.
 
-The operator invariant of a braid b on n strands is computed column by
-column: for each middle multi-index m over strands 2..n, the basis state
-(b_1 = 0, m) is pushed through the braid letter by letter, and the weighted
-diagonal amplitude is accumulated.  Writing phi(b) for the representation and
-h for the closure weight on V,
+The operator invariant of a braid b on n strands is the partial trace of its
+operator over strands 2..n.  Writing phi(b) for the representation, h for
+the closure weight on V and m for the middle multi-index of strands 2..n,
 
-    O[a, c] = sum_m  h(m) * <(a, m) | phi(b) | (c, m)>,
+    O[a, c] = sum_m  h(m) * <(a, m) | phi(b) | (c, m)>;
 
 the theory guarantees O is a scalar multiple of the identity; the scalar is
 the invariant of the closure (strand 1 is the strand cut open).  The a != 0
@@ -17,10 +15,25 @@ One engine serves a single braid and a whole sweep family alike: the words
 form a prefix trie over their letter sequences, so a family's fixed part and
 common suffix letters are evolved once, and identical sequences share a node
 and its accumulator.  Each node records its reach, the largest |letter| below
-it.  A letter k touches only strands k, k+1, so when the reach drops to r the
-digits of strands r+2..n are frozen, and states whose frozen digits have left
-the middle index m can never reach a diagonal entry: they are dropped exactly.
-A lone braid is walked unfrozen: its cost is the same wherever its reach drops.
+it.  A letter k touches only strands k, k+1, so where the reach drops to r
+the strands r+2..n are never touched again, and the walk traces them out
+there (a choice of contraction order: I. L. Markov and Y. Shi, "Simulating
+quantum computation by contracting tensor networks", SIAM J. Comput. 38,
+2008).  With phi_1 the letters above the drop, phi_2 those below and m split
+into the live digits m_low and the frozen ones m_high,
+
+    O[a, c] = sum_m_low  h(m_low) * <(a, m_low) | phi_2 | psi(c, m_low)>,
+    psi(c, m_low) = sum_m_high  h(m_high) * <m_high | phi_1 | (c, m)>.
+
+So one walk carries the middle digits of the top strands at once: a state
+key holds its start's digits next to its current ones, and at a drop a key
+survives only if its frozen current digits equal its start's, takes their
+weight and merges with the keys that differed only there.  The digits of
+the lower strands are looped outside the walk, which bounds a state's size
+(``_looped``), and down a single-child chain that leads to a drop the starts
+go one at a time, so the batched state is only built once the drop has
+shrunk it.  A lone braid batches nothing and is walked unfrozen, one middle
+at a time: its cost is the same wherever its reach drops.
 
 States are sparse maps from packed keys to amplitudes: strand s contributes
 two bits at position 2(s-1) (both representations have d <= 4).  Per letter
@@ -177,7 +190,8 @@ def _prune_int2(amp: dict) -> dict:
 # ``pack``), evolves states (``apply``) and sums weighted amplitudes
 # (``weight``, ``accumulate``, ``add``) into totals it decodes (``wrap``).
 # Callers keep what ``accumulate`` and ``add`` return: packed totals are ints
-# and cannot be updated in place.
+# and cannot be updated in place.  ``batched`` is how many top strands' middle
+# digits one walk of a shared trie carries (see ``_looped``).
 
 class _CycKernel:
     """Packed Z[w][t**±1] amplitudes (A, B): the colored Alexander and the
@@ -188,6 +202,9 @@ class _CycKernel:
     """
 
     __slots__ = ()
+    # on the Type8 family 2 batched digits were fastest: 1 took 1.5 times as
+    # long, and 3 as long with four times the extra peak memory
+    batched = 2
 
     def one(self) -> tuple:
         return (1, 0)
@@ -273,6 +290,9 @@ class _GenKernel:
     """
 
     __slots__ = ()
+    # amplitudes are dicts of dozens of terms: on every 100th word of Types
+    # 8-10, 2 batched digits were no faster than 1 and took more memory
+    batched = 1
 
     def one(self) -> dict:
         return {0: 1}
@@ -475,64 +495,193 @@ def _build_trie(seqs: Sequence[tuple[int, ...]]) -> _Node:
     return root
 
 
+def _looped(kernel, strands: int, seqs: int) -> int:
+    """How many middle digits a walk of so many sequences loops outside
+    it: all but the kernel's ``batched`` top ones, and all of them for a
+    lone sequence, which batches none."""
+    if seqs == 1:
+        return strands - 1
+    return max(0, strands - 1 - kernel.batched)
+
+
 def _trace_totals(invariant: str, strands: int,
                   seqs: Sequence[tuple[int, ...]], columns: Sequence[int],
-                  middles: Sequence[tuple[int, ...]], width: int
+                  width: int, part: int = 0, parts: int = 1
                   ) -> tuple[list[int], list[dict]]:
     """Per sequence, the exponent base and the raw accumulators
-    {(a, c): O[a, c]} over the given middles, packed at the slot width.
+    {(a, c): O[a, c]} of one share of the middles, packed at the slot width.
 
-    For each middle m and column c the basis state (c, m) is walked through
-    the trie depth first; a node's last child continues in the same frame, so
-    a single-child chain holds only the current state.  Each letter's table
-    is stored relative to its least exponent, which the walk adds to the
-    state's base; a sequence's base is fixed by its letters.
+    The looped middle digits (``_looped``) take their values one at a time,
+    every ``parts``-th value from ``part`` on.  For each value and column c,
+    one state carries the basis states (c, m) of all values of the batched
+    digits, each key holding its start's batched digits above the bits of
+    its current digits, and is walked through the trie depth first; a node's
+    last child continues in the same frame, so a single-child chain holds
+    only the current state.  Down a single-child chain that leads to a reach
+    drop (a family's fixed part, say) the starts are walked one at a time,
+    so the batched state is only built where the drop has shrunk it.  Each
+    letter's table is stored relative to its least exponent, so a
+    sequence's base is the sum of its letters' least exponents.
+
+    Where the reach drops, the strands above it are traced out: a key is
+    kept only if their current digits equal its start's, it is multiplied by
+    the closure weights of its frozen batched digits, and both digit groups
+    are stripped, so keys that differed only in frozen batched digits merge.
+    A sequence's slot reads the keys whose live current digits equal their
+    start's, weighted by the looped and the live batched digits.  A lone
+    sequence is walked unfrozen (reach 0 never drops), so it costs the same
+    wherever its reach drops.
     """
     _, _, _, kernel, d = _BUILDERS[invariant]
     tables = _tables_for(invariant, strands, width)
     mons, _ = _weight_monomials(invariant)
     low = kernel.low(mons)
     root = _build_trie(seqs)
-    bases = [0] * len(seqs)
+    # the weights are packed relative to exponent low per middle digit
+    bases = [low * (strands - 1) + sum(tables[letter][1] for letter in seq)
+             for seq in seqs]
     totals = [{(a, c): kernel.zero() for a in range(d) for c in columns}
               for _ in seqs]
-    apply, accumulate = kernel.apply, kernel.accumulate
+    apply, accumulate, zero = kernel.apply, kernel.accumulate, kernel.zero
+    top = strands - 1 if len(seqs) > 1 else 0
+    looped = _looped(kernel, strands, len(seqs))
+    # per frozen batched digit count, their packed pattern -> the product of
+    # their weights, packed relative to exponent low per digit as the bases
+    # assume (like the slots' weights)
+    frozen_weights: dict[int, dict[int, tuple]] = {}
 
-    def walk(node: _Node, state: dict, reach: int, base: int) -> None:
-        # reads target, c and weight of the middle and column being walked
+    # per count of live batched digits, their values and their key bits
+    batches = [[(batch, sum(digit << (2 * s) for s, digit
+                            in enumerate(batch, looped + 1)))
+                for batch in product(range(d), repeat=k)]
+               for k in range(strands - looped)]
+
+    def diagonal(live: int, outer: tuple[int, ...]) -> list[tuple]:
+        """(key with digit 0 on strand 1, weight) of every start whose
+        current digits on the live strands 1..live are its own."""
+        # reads target of the looped value
+        bits = 2 * live
+        fixed = target & ((1 << bits) - 1)
+        return [((start << bits) | start | fixed,
+                 kernel.weight(mons, outer + batch, low, width))
+                for batch, start in batches[max(0, live - 1 - looped)]]
+
+    def freeze(state: dict, reach: int, new_reach: int, out: dict) -> dict:
+        """Trace the strands above new_reach + 1 out of a state at reach,
+        adding it into out."""
+        # reads target of the looped value being walked
+        bits, keep_bits = 2 * reach + 2, 2 * new_reach + 2
+        mask, keep = (1 << bits) - 1, (1 << keep_bits) - 1
+        fixed = target & mask
+        merged = reach - max(new_reach, looped)     # frozen batched digits
+        frozen_at = bits - 2 * merged
+        by_pattern = frozen_weights.setdefault(merged, {})
+        for key, amp in state.items():
+            cur, start = key & mask, key >> bits
+            if (cur ^ start ^ fixed) >> keep_bits:
+                continue
+            nk = ((start & keep) << keep_bits) | (cur & keep)
+            if merged > 0:
+                frozen = cur >> frozen_at
+                w = by_pattern.get(frozen)
+                if w is None:
+                    w = by_pattern[frozen] = kernel.weight(mons, tuple(
+                        (frozen >> (2 * i)) & 3 for i in range(merged)),
+                        low, width)
+                prev = out.get(nk)
+                amp = accumulate(zero() if prev is None else prev, amp, w)
+            out[nk] = amp
+        return out
+
+    def read(slot: int, state: dict, reach: int) -> None:
+        """Add the weighted diagonal amplitudes of a state to a slot."""
+        # reads c and diag of the looped value and column being walked
+        acc = totals[slot]
+        for key, w in diag[reach]:
+            for a in range(d):
+                amp = state.get(key | a)
+                if amp is not None:
+                    acc[a, c] = accumulate(acc[a, c], amp, w)
+
+    # per node from which a chain of single children, on which the reach
+    # stays, leads to an inner node where it drops: that node
+    drops: dict[_Node, _Node] = {}
+    if top and looped < strands - 1:
+        order = [root]
+        for node in order:
+            order.extend(child for _, child in node.children)
+        for node in reversed(order):
+            for _, child in node.children:
+                if child.reach < node.reach:
+                    if child.children:
+                        drops[child] = child
+                elif len(child.children) == 1:
+                    ((_, below),) = child.children
+                    if below in drops:
+                        drops[child] = drops[below]
+
+    def chain(letter: int, node: _Node, state: dict,
+              reach: int) -> tuple[_Node, dict, int]:
+        """Node, state and reach at the drop that the chain from a letter
+        into node leads to, walked one start at a time and traced out
+        there, so the whole state is never built at the drop.  The drop's
+        own slot is left to the walk: read after the trace, it sums the
+        same weighted amplitudes."""
+        end = drops[node]
+        bits = 2 * reach + 2
+        starts: dict[int, dict] = {}
+        for key, amp in state.items():
+            starts.setdefault(key >> bits, {})[key] = amp
+        out: dict = {}
+        for group in starts.values():
+            step, below = letter, node
+            while True:
+                shift, _, table = tables[step]
+                group = apply(group, shift, table)
+                if below is end:
+                    break
+                if below.slot is not None:
+                    read(below.slot, group, reach)
+                ((step, below),) = below.children
+            freeze(group, reach, end.reach, out)
+        return end, out, end.reach
+
+    def walk(node: _Node, state: dict, reach: int) -> None:
         while True:
             if node.slot is not None:
-                bases[node.slot] = base
-                acc = totals[node.slot]
-                for a in range(d):
-                    amp = state.get(target | a)
-                    if amp is not None:
-                        acc[a, c] = accumulate(acc[a, c], amp, weight)
+                read(node.slot, state, reach)
             children = node.children
             if not children:
                 return
             if node.reach < reach:
-                # strands above reach + 1 are frozen from here on
+                state = freeze(state, reach, node.reach, {})
                 reach = node.reach
-                shift = 2 * reach + 2
-                frozen = target >> shift
-                state = {k: v for k, v in state.items() if k >> shift == frozen}
+            # only batched digits, live above the looped ones, merge
             for letter, child in children[:-1]:
-                shift, offset, table = tables[letter]
-                walk(child, apply(state, shift, table), reach, base + offset)
+                if child in drops and reach > looped:
+                    walk(*chain(letter, child, state, reach))
+                else:
+                    shift, _, table = tables[letter]
+                    walk(child, apply(state, shift, table), reach)
             letter, node = children[-1]
-            shift, offset, table = tables[letter]
-            state = apply(state, shift, table)
-            base += offset
+            if node in drops and reach > looped:
+                node, state, reach = chain(letter, node, state, reach)
+            else:
+                shift, _, table = tables[letter]
+                state = apply(state, shift, table)
 
-    top = strands - 1 if len(seqs) > 1 else 0   # reach 0 can never drop
-    for m in middles:
-        # the weight is packed relative to exponent low * (strands - 1)
-        weight = kernel.weight(mons, m, low, width)
-        # the key of (0, m): strand s + 2 holds digit m[s]
-        target = sum(digit << (2 * s + 2) for s, digit in enumerate(m))
+    for outer in list(product(range(d), repeat=looped))[part::parts]:
+        # the key of (0, outer): strand s + 2 holds digit outer[s]
+        target = sum(digit << (2 * s + 2) for s, digit in enumerate(outer))
+        # per reach, the live strands; all of them for a lone sequence
+        diag = ([diagonal(reach + 1, outer) for reach in range(strands)]
+                if top else [diagonal(strands, outer)])
         for c in columns:
-            walk(root, {target | c: kernel.one()}, top, low * (strands - 1))
+            # every start (c, outer, batch) is a diagonal key of the top reach
+            walk(root, {key | c: kernel.one() for key, _ in diag[top]}, top)
+    # walk refers to itself: drop it, so that its closure (the weight cache
+    # among it) is freed now and not at the next garbage collection
+    del walk
     return bases, totals
 
 
@@ -555,8 +704,8 @@ def _finalize(invariant: str, braid: BraidWord, totals: dict,
     return scalar
 
 
-# The trace walks d**(n - 1) middle indices per column, 4**7 = 16384 for
-# Links-Gould on 8 strands; braids on more strands are refused.
+# A lone braid's trace walks d**(n - 1) middle indices per column, 4**7 =
+# 16384 for Links-Gould on 8 strands; braids on more strands are refused.
 MAX_STRANDS = 8
 
 
@@ -566,9 +715,10 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     at most ``MAX_STRANDS``.
 
     All braids go through one trie walk, with one slot width.  With a pool
-    and jobs > 1 the middle indices are split into ``jobs`` chunks whose raw
-    totals are summed; every chunk walks the same trie, so a sequence has
-    the same base in each and its totals add slot by slot.
+    and jobs > 1 the values of the looped middle digits are split into
+    ``jobs`` chunks whose raw totals are summed; every chunk walks the same
+    trie, so a sequence has the same base in each and its totals add slot by
+    slot.
     """
     if not braids:
         return []
@@ -585,19 +735,18 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     seqs = list(unique)
     width = _slot_width(invariant, strands, seqs)
     columns = tuple(range(d)) if paranoid else (0,)
-    middles = list(product(range(d), repeat=strands - 1))
     if pool is not None and jobs > 1:
-        parts = pool.starmap(_trace_totals, [
-            (invariant, strands, seqs, columns, middles[i::jobs], width)
-            for i in range(min(jobs, len(middles)))])
-        bases, totals = parts[0]
-        for _, part in parts[1:]:
-            for dst, src in zip(totals, part):
+        parts = min(jobs, d ** _looped(kernel, strands, len(seqs)))
+        chunks = pool.starmap(_trace_totals, [
+            (invariant, strands, seqs, columns, width, i, parts)
+            for i in range(parts)])
+        bases, totals = chunks[0]
+        for _, chunk in chunks[1:]:
+            for dst, src in zip(totals, chunk):
                 for ac, total in src.items():
                     dst[ac] = kernel.add(dst[ac], total)
     else:
-        bases, totals = _trace_totals(invariant, strands, seqs, columns,
-                                      middles, width)
+        bases, totals = _trace_totals(invariant, strands, seqs, columns, width)
     value_of = {word: _finalize(invariant, b, total, columns, base, width)
                 for (word, b), base, total in zip(unique.items(), bases, totals)}
     return [value_of[b.word] for b in braids]

@@ -506,8 +506,9 @@ GENERIC_MODULUS = LaurentPoly2(
 )
 
 
-def specialize_poly2(p: LaurentPoly2) -> LaurentPoly1:
-    """Substitute s0 -> t, s1 -> w * t**-1 (so t0 -> t**2, t1 -> w**2 t**-2)."""
+def specialize(p: LaurentPoly2) -> LaurentPoly1:
+    """Apply t0 = t**2, t1 = w**2 t**-2 to a two-variable value: substitute
+    s0 -> t, s1 -> w * t**-1."""
     terms: dict[int, tuple[int, int]] = {}
     for (e0, e1), c in p._terms.items():
         wa, wb = _OMEGA_POWERS[e1 % 6]
@@ -521,13 +522,6 @@ def specialize_poly2(p: LaurentPoly2) -> LaurentPoly1:
         elif cur is not None:
             del terms[k]
     return LaurentPoly1(terms)
-
-
-def specialize(x: LaurentPoly2) -> LaurentPoly1:
-    """Apply t0 = t**2, t1 = w**2 t**-2 to a two-variable value."""
-    if isinstance(x, LaurentPoly2):
-        return specialize_poly2(x)
-    raise TypeError(f"cannot specialize {type(x).__name__}")
 
 
 def cyc_units() -> Iterable[CycScalar]:

@@ -12,8 +12,9 @@ walk of the trace engine (``invariant.closure_values``):
 * suffixes that share leading letters share their evolution too, and the
   repeated letter sequences among the 648 S4 elements share one node;
 * a braid letter k touches only strands k, k+1, so wherever the largest
-  remaining |letter| drops, the digits of the strands above it are frozen and
-  states off the target middle index are dropped exactly.
+  remaining |letter| drops, the strands above it are traced out; one walk
+  carries the middle digits of the top strands, and the walks of different
+  frozen digits merge there instead of repeating the work below.
 
 The audit recomputes a deterministic sample (every 100th word by default)
 with the generic two-variable Links-Gould engine and specializes the result.
@@ -242,7 +243,9 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
     """Compare the two invariants on check words, family by family.
 
     Each family's words go through one trie walk per invariant, for the
-    colored Alexander and the specialized Links-Gould invariant in turn.  A
+    colored Alexander and the specialized Links-Gould invariant in turn,
+    timed under ``timing[family + ".ado3"]`` and ``timing[family +
+    ".lg-spec"]`` next to the family's ``timing[family]``.  A
     deterministic subset of the input (every round(1/audit_fraction)-th word,
     by position) is audited by the generic two-variable computation followed
     by specialization: one generic trie walk per strand count, timed under
@@ -271,15 +274,18 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
             braids = [cw.full for _, cw in fam_words]
             ado_vals = closure_values("ado3", braids, paranoid=paranoid,
                                       pool=pool, jobs=jobs)
+            t1 = time.perf_counter()
+            report.timing[f"{family}.ado3"] = t1 - t0
             if progress:
                 progress(f"{family}: colored Alexander pass done "
-                         f"({time.perf_counter() - t0:.1f}s)")
-            t1 = time.perf_counter()
+                         f"({t1 - t0:.1f}s)")
             lgs_vals = closure_values("lg-spec", braids, paranoid=paranoid,
                                       pool=pool, jobs=jobs)
+            t2 = time.perf_counter()
+            report.timing[f"{family}.lg-spec"] = t2 - t1
             if progress:
                 progress(f"{family}: specialized Links-Gould pass done "
-                         f"({time.perf_counter() - t1:.1f}s)")
+                         f"({t2 - t1:.1f}s)")
             for (pos, cw), ado, lgs in zip(fam_words, ado_vals, lgs_vals):
                 entries[pos] = SweepEntry(braid=cw.full, family=cw.family,
                                           index=cw.index, ado3=ado,

@@ -1,5 +1,6 @@
 """The closure-invariant engine: letter tables, the trie walk, traces."""
 
+import random
 from itertools import product
 
 import pytest
@@ -10,9 +11,11 @@ from braidinv.invariant import (
     _BUILDERS,
     ProportionalityError,
     _build_trie,
+    _looped,
     _shifts,
     _slot_width,
     _tables_for,
+    _trace_totals,
     closure_values,
     compute_ado3,
     compute_lg,
@@ -25,6 +28,7 @@ from braidinv.ring import (
     parse_poly,
     specialize,
 )
+from oracle import ado3_reference
 
 
 W = CycScalar.omega()
@@ -207,6 +211,105 @@ class TestTrie:
             assert values[0] == values[1]
 
 
+def _batched_words(rng):
+    """Seeded words on 3-5 strands, by strand count.
+
+    Per strand count: the empty word; a prefix that touches the top strand,
+    alone, cut short and with tails below it, some of them sigma_1 only, so
+    that its tries share nodes below reach drops; random words; one
+    duplicate.
+    """
+    groups = {}
+    for n in (3, 4, 5):
+        top = n - 1
+        prefix = (top, -(top - 1), top)
+        words = [(), prefix, prefix + (1,), prefix + (-1, -1),
+                 prefix + (1, -1, 1), prefix[:2]]
+        for _ in range(4):
+            tail = tuple(rng.choice((-1, 1)) * rng.randint(1, top - 1)
+                         for _ in range(rng.randint(1, 3)))
+            words.append(prefix + tail)
+        for _ in range(3):
+            words.append(tuple(rng.choice((-1, 1)) * rng.randint(1, top)
+                               for _ in range(rng.randint(2, 6))))
+        words.append(words[3])
+        groups[n] = [BraidWord(n, w) for w in words]
+    return groups
+
+
+class _SerialPool:
+    """What closure_values needs of a process pool, run in this process."""
+
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]
+
+
+class TestBatchedWalk:
+    """One walk carries the batched middle digits of a shared trie and
+    traces frozen strands out where the reach drops; a lone word walks
+    every middle by itself, unfrozen."""
+
+    GROUPS = _batched_words(random.Random(2029))
+
+    def test_word_set(self):
+        words = [b for group in self.GROUPS.values() for b in group]
+        assert len(words) == 42
+        assert len({b.word for b in words}) < len(words)      # a duplicate
+        assert sum(not b.word for b in words) == 3            # empty words
+        for n, group in self.GROUPS.items():
+            assert any(b.word[3:] and max(map(abs, b.word[3:])) == 1
+                       for b in group)                        # sigma_1 tails
+            assert group[1].word == group[2].word[:3]         # a prefix
+
+    @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
+    def test_trie_blocks_match_lone_walks(self, inv):
+        # the whole group branches at the root; the words that share the
+        # prefix walk it as a chain, one start at a time, up to the drop
+        # where it ends (with and without a word that ends there too)
+        kernel, d = _BUILDERS[inv][3:]
+        columns = range(d)
+        for n, group in self.GROUPS.items():
+            every = list(dict.fromkeys(b.word for b in group))
+            width = _slot_width(inv, n, every)
+            lone = {seq: _trace_totals(inv, n, [seq], columns, width)
+                    for seq in every}
+            prefix = group[1].word
+            shared = [w for w in every if w[:2] == prefix[:2]]
+            for seqs in (every, shared, [w for w in shared if w != prefix]):
+                assert _looped(kernel, n, len(seqs)) < n - 1
+                bases, totals = _trace_totals(inv, n, seqs, columns, width)
+                for seq, base, total in zip(seqs, bases, totals):
+                    (lone_base,), (blocks,) = lone[seq]
+                    assert base == lone_base
+                    assert set(total) == set(blocks)
+                    for ac, block in blocks.items():
+                        assert kernel.wrap(total[ac], base, width) == \
+                            kernel.wrap(block, base, width), (inv, seq, ac)
+
+    @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
+    def test_duplicates_and_pool_split(self, inv):
+        group = self.GROUPS[4]
+        serial = closure_values(inv, group, paranoid=True)
+        assert serial == [closure_values(inv, [b])[0] for b in group]
+        for jobs in (2, 3):
+            assert closure_values(inv, group, paranoid=True, jobs=jobs,
+                                  pool=_SerialPool()) == serial
+
+    def test_ado3_against_oracle(self):
+        words = self.GROUPS[3] + [BraidWord(2, w) for w in
+                                  ((), (1,), (1, 1, 1), (-1, 1, -1))]
+        for n in (2, 3):
+            group = [b for b in words if b.strands == n]
+            assert closure_values("ado3", group) == \
+                [ado3_reference(b) for b in group]
+
+    def test_lone_word_loops_every_digit(self):
+        for inv in ("ado3", "lg-spec", "lg"):
+            kernel = _BUILDERS[inv][3]
+            assert _looped(kernel, 5, 1) == 4
+            assert _looped(kernel, 5, 2) == 4 - kernel.batched
+
+
 class TestPartialTrace:
     def test_paranoid_smoke(self):
         for b in (TREFOIL, HOPF, FIG8):
@@ -228,6 +331,23 @@ class TestPartialTrace:
         compute_ado3(b)                             # silently wrong
         with pytest.raises(ProportionalityError):
             compute_ado3(b, paranoid=True)
+
+    def test_paranoid_rejects_wrong_weights_in_a_trie(self, monkeypatch):
+        # four strands, a shared prefix on the top strand and sigma_1 tails:
+        # the batched digits of strands 3 and 4 are traced out with their
+        # weights where the reach drops, not at the slots
+        words = [BraidWord(4, (3, -2, 3) + tail)
+                 for tail in ((1,), (1, 1, 1), (-1, 1, 1))]
+        kernel = _BUILDERS["ado3"][3]
+        assert _looped(kernel, 4, len(words)) == 1
+        good = closure_values("ado3", words, paranoid=True)
+        bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
+               LaurentPoly1.t_power(2, -W))
+        monkeypatch.setattr(invariant, "_weight_monomials",
+                            lambda inv: ([kernel.terms(v) for v in bad], 0.0))
+        assert closure_values("ado3", words) != good        # silently wrong
+        with pytest.raises(ProportionalityError):
+            closure_values("ado3", words, paranoid=True)
 
 
 class TestPacking:

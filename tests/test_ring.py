@@ -12,7 +12,6 @@ from braidinv.ring import (
     cyc_units,
     parse_poly,
     specialize,
-    specialize_poly2,
 )
 from braidinv.rep import _gauge
 from support import ISQRT3, random_cyc, random_poly1, random_poly2
@@ -192,16 +191,16 @@ class TestExtScalar:
 
 class TestSpecialize:
     def test_pinned_images(self):
-        assert specialize_poly2(LaurentPoly2.monomial(2, 0)) == \
+        assert specialize(LaurentPoly2.monomial(2, 0)) == \
             LaurentPoly1.t_power(2)                            # t0 -> t^2
-        assert specialize_poly2(LaurentPoly2.monomial(0, 2)) == \
+        assert specialize(LaurentPoly2.monomial(0, 2)) == \
             LaurentPoly1.t_power(-2, W * W)                    # t1 -> w^2 t^-2
-        assert specialize_poly2(LaurentPoly2.monomial(1, 1)) == \
+        assert specialize(LaurentPoly2.monomial(1, 1)) == \
             LaurentPoly1.constant(W)                           # s0 s1 -> w
 
     def test_specialized_modulus_derived(self):
         # t0 = t^2, t1 = w^2 t^-2 in (t0 - 1)(1 - t1), reduced by w^2 = w - 1
-        assert specialize_poly2(GENERIC_MODULUS) == LaurentPoly1(
+        assert specialize(GENERIC_MODULUS) == LaurentPoly1(
             {2: ONE, 0: -W, -2: W * W})
 
     def test_specialize_is_homomorphism(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -208,6 +209,24 @@ class TestSweep:
         assert report.timing["audit"] >= 0
         _, report = _small_sweep(audit_fraction=0)
         assert "audit" not in report.timing
+
+    def test_timing_per_family_and_invariant(self):
+        messages = []
+        report = run_equality_sweep(
+            enumerate_s4_check_words()[:24] + family_words("Type1")[:12],
+            audit_fraction=0, progress=messages.append)
+        assert sorted(report.timing) == [
+            "S4", "S4.ado3", "S4.lg-spec", "Type1", "Type1.ado3",
+            "Type1.lg-spec", "total"]
+        for family in ("S4", "Type1"):
+            passes = (report.timing[f"{family}.ado3"]
+                      + report.timing[f"{family}.lg-spec"])
+            assert 0 < passes <= report.timing[family]
+        # the progress lines keep their text: only the report gained keys
+        pattern = (r"(S4|Type1): (colored Alexander|specialized Links-Gould) "
+                   r"pass done \(\d+\.\ds\)")
+        assert len(messages) == 4
+        assert all(re.fullmatch(pattern, msg) for msg in messages)
 
     def test_parallel_matches_serial(self):
         words = enumerate_s4_check_words()[:24]
