@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .braid import parse_braid, read_braid_list
 from .hecke import (
@@ -134,7 +133,8 @@ def cmd_verify(args) -> int:
         _progress(f"sweep time: {report.timing.get('total', 0.0):.1f}s")
         ok = ok and report.all_equal
         if args.report:
-            Path(args.report).write_text(report.to_json(), encoding="utf-8")
+            with open(args.report, "w", encoding="utf-8") as fh:
+                report.write_json(fh)
             _progress(f"report written to {args.report}")
     return 0 if ok else 1
 

@@ -46,8 +46,10 @@ kernels cover the rings involved:
   x = 2**W, with balanced (signed) W-bit digits.  It serves the colored
   Alexander invariant (d = 3) and Links-Gould at t0 = t**2, t1 = w**2 t**-2
   (d = 4) alike;
-* {key: int} dicts in the two-variable generic ring, s0**e0 s1**e1 keyed
-  (e0 << 20) + e1 (Links-Gould, d = 4).
+* Laurent polynomials over Z in s0, s1, row-packed: an amplitude maps each
+  s0 exponent e0 to the Kronecker pack of that row's s1 polynomial, in the
+  same balanced W-bit slots relative to a base s1 exponent.  It serves the
+  generic Links-Gould invariant (d = 4).
 
 Neither carries the square root Y = sqrt((t0 - 1)(1 - t1)) of the
 literature's Links-Gould R-matrix: ``rep.build_lg_r`` conjugates it by
@@ -58,15 +60,17 @@ blocks still vanish.  Its build-time rule (odd cells move one v_3, even
 cells none) is also the proof that the Y form's scalar has no odd part.
 
 Packing evaluates at x = 2**W, a ring homomorphism, so products are a shift
-plus small multiplies per table term and only the decoded totals need to fit
-their slots.  One base exponent serves a whole state: each letter's table is
-stored relative to its least exponent, so every shift is non-negative, and
-the walk adds that exponent to the base.  The slot width W is fixed once per
-walk from a proof.  With N a letter's largest column norm (the sum of |a + b
-w| over a column's coefficients), a total's coefficients obey |a|, |b| <=
-2/sqrt(3) * d**(n-1) * prod N over the word, and W is that many bits plus a
-sign bit and a guard bit, rounded up to a multiple of 32.  Decoding raises
-if a digit lands in the guard band.
+plus small multiplies per table term (or one multiply per s0 row) and only
+the decoded totals need to fit their slots.  One base exponent (of t, or of
+s1) serves a whole state: each letter's table is stored relative to its
+least exponent, so every shift is non-negative, and the walk adds that
+exponent to the base; s0 exponents are row keys and need none.  The slot
+width W is fixed once per walk from a proof.  With N a letter's largest
+column norm (the sum of |a + b w|, or of |c| for integer coefficients, over
+a column's coefficients), a total's coefficients obey |a|, |b| <= 2/sqrt(3)
+* d**(n-1) * prod N over the word, and integer ones |c| <= d**(n-1) * prod
+N.  W is that many bits plus a sign bit and a guard bit, rounded up to a
+multiple of 32.  Decoding raises if a digit lands in the guard band.
 """
 
 from __future__ import annotations
@@ -109,11 +113,6 @@ class InvariantValue:
 
 # --- packed coefficients ------------------------------------------------------
 
-def _flat1(raw: dict) -> tuple:
-    """LaurentPoly1 terms -> sorted (exp, a, b) triples."""
-    return tuple((k, a, b) for k, (a, b) in sorted(raw.items()))
-
-
 def _l1(flat: tuple) -> float:
     """Sum of the complex absolute values |a + b*w| of the coefficients."""
     return sum(math.sqrt(a * a + a * b + b * b) for _, a, b in flat)
@@ -146,42 +145,10 @@ def _digits(x: int, width: int) -> list[int]:
     return out
 
 
-def _unpack(big_a: int, big_b: int, base: int, width: int) -> LaurentPoly1:
-    """(A, B) with t**(base + k) in slot k -> LaurentPoly1."""
-    pairs = zip_longest(_digits(big_a, width), _digits(big_b, width),
-                        fillvalue=0)
-    return LaurentPoly1({base + k: ab for k, ab in enumerate(pairs)})
-
-
-_E1_BITS = 20                     # s0**e0 s1**e1 is the int key (e0 << 20) + e1
-_E1_HALF = 1 << (_E1_BITS - 1)
-
-
-def _key2(e0: int, e1: int) -> int:
-    return (e0 << _E1_BITS) + e1
-
-
-def _unkey2(key: int) -> tuple[int, int]:
-    e1 = ((key + _E1_HALF) & (2 * _E1_HALF - 1)) - _E1_HALF
-    return (key - e1) >> _E1_BITS, e1
-
-
-def _conv_int2(dst: dict, src: dict, terms: tuple) -> None:
-    """dst += src * terms over Z[s0:pm1, s1:pm1]; terms are (key, c)."""
-    get = dst.get
-    for tk, c in terms:
-        for pk, pc in src.items():
-            nk = pk + tk
-            dst[nk] = get(nk, 0) + pc * c
-
-
-def _add_int2(dst: dict, src: dict) -> None:
-    for k, c in src.items():
-        dst[k] = dst.get(k, 0) + c
-
-
-def _prune_int2(amp: dict) -> dict:
-    return {k: c for k, c in amp.items() if c}
+def _width(bits: float) -> int:
+    """Slot width for coefficients of at most 2**bits in absolute value: a
+    sign bit and a guard bit on top, rounded up to a multiple of 32."""
+    return 32 * (int(bits + 2 + 1e-9) // 32 + 1)
 
 
 # --- amplitude kernels -------------------------------------------------------
@@ -213,8 +180,8 @@ class _CycKernel:
         return (0, 0)
 
     def terms(self, value: LaurentPoly1) -> tuple:
-        """Ring element -> the flat polynomial a table entry holds."""
-        return _flat1(value._terms)
+        """Ring element -> sorted (exp, a, b) triples."""
+        return tuple((k, a, b) for k, (a, b) in sorted(value._terms.items()))
 
     def low(self, polys) -> int:
         """Least exponent among flat polynomials."""
@@ -233,9 +200,8 @@ class _CycKernel:
         coefficients z with |z| <= d**(strands-1) * prod N; |a|, |b| <=
         2/sqrt(3) * |z|.  A sign bit and a guard bit come on top.
         """
-        bits = (math.log2(2 / math.sqrt(3)) + (strands - 1) * math.log2(d)
-                + growth + 2 + 1e-9)
-        return 32 * (int(bits) // 32 + 1)
+        return _width(math.log2(2 / math.sqrt(3))
+                      + (strands - 1) * math.log2(d) + growth)
 
     def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
         return tuple((delta,) + term for delta, flat in outputs
@@ -277,21 +243,28 @@ class _CycKernel:
         return not any(total)
 
     def wrap(self, total: tuple, base: int, width: int) -> LaurentPoly1:
-        return _unpack(total[0], total[1], base, width)
+        """(A, B) with t**(base + k) in slot k -> LaurentPoly1."""
+        pairs = zip_longest(*(_digits(x, width) for x in total), fillvalue=0)
+        return LaurentPoly1({base + k: ab for k, ab in enumerate(pairs)})
 
 
-class _GenKernel:
-    """Generic Links-Gould amplitudes: {key: int} dicts over
-    Z[s0:pm1, s1:pm1], with s0**e0 s1**e1 keyed (e0 << 20) + e1.
+class _RowKernel:
+    """Row-packed Z[s0:pm1, s1:pm1] amplitudes {e0: int}: the generic
+    Links-Gould engine.
 
-    Keys add like exponents, so the walk needs no offsets (``low`` is 0) and
-    no slot width; ``width`` only checks that every |e1| stays below 2**19,
-    where the keys still decode.
+    An amplitude maps an s0 exponent e0 to the Kronecker pack of that row's
+    s1 polynomial, sum_k c_k s1**(base + k) as sum_k c_k x**k at x = 2**W
+    with balanced W-bit digits: ``_CycKernel``'s (A, B) pair with its rows
+    indexed by s0 powers instead of {1, w}.  Table entries are (key delta,
+    ((a, P_a), ...)), P_a the packed s0**a row of a coefficient relative to
+    the letter's offset, its least s1 exponent, so a product term moves a
+    row to key e0 + a and is one multiply by P_a.  Weights are such rows too.
     """
 
     __slots__ = ()
-    # amplitudes are dicts of dozens of terms: on every 100th word of Types
-    # 8-10, 2 batched digits were no faster than 1 and took more memory
+    # on every 100th word of the five-strand sweep, 2 batched digits saved
+    # about a tenth of the time, within the run-to-run spread, for 0.9 MB
+    # more peak memory; 3 saved nothing for 6 MB more
     batched = 1
 
     def one(self) -> dict:
@@ -301,61 +274,84 @@ class _GenKernel:
         return {}
 
     def terms(self, value: LaurentPoly2) -> tuple:
-        """Ring element -> flat (key, c) terms."""
-        return tuple((_key2(*e), c) for e, c in sorted(value._terms.items()))
+        """Ring element -> sorted (e0, e1, c) triples."""
+        return tuple((e0, e1, c) for (e0, e1), c in sorted(value._terms.items()))
 
     def low(self, polys) -> int:
-        return 0
+        """Least s1 exponent among flat polynomials."""
+        return min(e1 for poly in polys for _, e1, _ in poly)
 
-    def growth(self, columns) -> int:
-        """The largest |e1| of one letter's table."""
-        return max((abs(_unkey2(k)[1]) for col in columns for poly in col
-                    for k, _ in poly), default=0)
+    def growth(self, columns) -> float:
+        """log2 of the largest column norm, the sum of |c| over a column's
+        coefficients: the bits one letter can add."""
+        return math.log2(max(sum(abs(c) for poly in col for _, _, c in poly)
+                             for col in columns))
 
-    def width(self, growth: int, strands: int, d: int) -> int | None:
-        return 0 if growth < _E1_HALF else None
+    def width(self, growth: float, strands: int, d: int) -> int:
+        """Slot width whose digits hold every coefficient of a total: as for
+        ``_CycKernel`` the L1 norm of a state grows by at most a letter's
+        column norm N, so |c| <= d**(strands-1) * prod N."""
+        return _width((strands - 1) * math.log2(d) + growth)
 
     def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
-        return outputs
+        packed = []
+        for delta, flat in outputs:
+            rows: dict[int, int] = {}
+            for e0, e1, c in flat:
+                rows[e0] = rows.get(e0, 0) + (c << (width * (e1 - offset)))
+            packed.append((delta, tuple(rows.items())))
+        return tuple(packed)
 
     def apply(self, state: dict, shift: int, table: list) -> dict:
         out: dict = {}
         for key, amp in state.items():
-            for delta, terms in table[(key >> shift) & 15]:
+            items = amp.items()
+            for delta, rows in table[(key >> shift) & 15]:
                 nk = key + delta
                 acc = out.get(nk)
                 if acc is None:
-                    acc = out[nk] = {}
-                _conv_int2(acc, amp, terms)
+                    a, p = rows[0]
+                    out[nk] = acc = {e0 + a: x * p for e0, x in items}
+                    if len(rows) == 1:
+                        continue
+                    rows = rows[1:]
+                self.accumulate(acc, amp, rows)
         res: dict = {}
         for nk, acc in out.items():
-            acc = _prune_int2(acc)
+            acc = {r: x for r, x in acc.items() if x}
             if acc:
                 res[nk] = acc
         return res
 
     def weight(self, mons: list, m: tuple[int, ...], low: int,
                width: int) -> tuple:
-        weight = {0: 1}
+        """The product of the weight monomials of a middle multi-index as
+        one row, relative to s1 exponent low * len(m)."""
+        e0, e1, c = 0, 0, 1
         for digit in m:
-            nxt: dict = {}
-            _conv_int2(nxt, weight, mons[digit])
-            weight = nxt
-        return tuple(weight.items())
+            ((me0, me1, mc),) = mons[digit]
+            e0, e1, c = e0 + me0, e1 + me1 - low, c * mc
+        return ((e0, c << (width * e1)),)
 
     def accumulate(self, dst: dict, src: dict, weight: tuple) -> dict:
-        _conv_int2(dst, src, weight)
+        get = dst.get
+        for a, p in weight:
+            for e0, x in src.items():
+                r = e0 + a
+                dst[r] = get(r, 0) + x * p
         return dst
 
     def add(self, dst: dict, src: dict) -> dict:
-        _add_int2(dst, src)
+        for r, x in src.items():
+            dst[r] = dst.get(r, 0) + x
         return dst
 
     def is_zero(self, total: dict) -> bool:
-        return not _prune_int2(total)
+        return not any(total.values())
 
     def wrap(self, total: dict, base: int, width: int) -> LaurentPoly2:
-        return LaurentPoly2({_unkey2(k): c for k, c in total.items()})
+        return LaurentPoly2({(e0, base + k): c for e0, x in total.items()
+                             for k, c in enumerate(_digits(x, width))})
 
 
 # --- operator compilation ---------------------------------------------------
@@ -401,7 +397,7 @@ def compile_letter_tables(r: LocalOperator, rinv: LocalOperator, d: int,
 # invariant -> (R builder, inverse builder, closure weight builder, kernel, d)
 _BUILDERS = {
     "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, _CycKernel(), 3),
-    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h, _GenKernel(), 4),
+    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h, _RowKernel(), 4),
     "lg-spec": (build_lg_r_specialized, build_lg_r_inverse_specialized,
                 build_lg_h_specialized, _CycKernel(), 4),
 }
@@ -441,23 +437,13 @@ def _slot_width(invariant: str, strands: int,
     """The kernel's slot width for a walk over the given letter sequences.
 
     Growth adds up along a sequence; the closure weights count as
-    strands - 1 more letters.  Raises ValueError, naming the sequence, when
-    the kernel cannot represent it.
+    strands - 1 more letters.
     """
     kernel, d = _BUILDERS[invariant][3:]
     letters = _letters_for(invariant, strands)
     _, weights = _weight_monomials(invariant)
-    growth = [sum(letters[letter].growth for letter in seq) for seq in seqs]
-    worst = max(range(len(seqs)), key=growth.__getitem__)
-    width = kernel.width(growth[worst] + (strands - 1) * weights, strands, d)
-    if width is None:
-        seq = seqs[worst]
-        text = BraidWord(strands, seq).format()
-        if len(text) > 60:
-            text = text[:56] + "...}}"
-        raise ValueError(f"{invariant}: {text} has {len(seq)} letters, too "
-                         f"many for the kernel's exponent range")
-    return width
+    growth = max(sum(letters[letter].growth for letter in seq) for seq in seqs)
+    return kernel.width(growth + (strands - 1) * weights, strands, d)
 
 
 # --- the trie walk -----------------------------------------------------------

@@ -18,12 +18,15 @@ walk of the trace engine (``invariant.closure_values``):
 
 The audit recomputes a deterministic sample (every 100th word by default)
 with the generic two-variable Links-Gould engine and specializes the result.
-The generic engine keeps its own tables and its own dict-based kernel; it
-shares only the gauged R-matrix (``rep.build_lg_r``) with the specialized
-one, so the audit cannot see an error in that matrix.  The
+The generic engine keeps its own tables, its own two-variable ring and its
+own closure weights; with the specialized one it shares the gauged R-matrix
+(``rep.build_lg_r``), so the audit cannot see an error in that matrix, and
+with both one-variable kernels the Kronecker digit decoding
+(``invariant._digits``) and the slot-width argument.  The Burau test and the
+dense oracle of the tests stay the checks that share no engine code.  The
 sampled words of each strand count go through one trie walk, so they share
 prefixes and freezing like a family does, and the audit's time is reported
-under ``timing["audit"]``.
+under ``timing["audit"]`` and at the end of its progress line.
 
 Identity checks (cubic relations, Yang-Baxter, the two-parameter relation of
 the denominator-cleared skein operators) are direct sparse-matrix computations
@@ -36,7 +39,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 from .braid import BraidWord
 from .hecke import CheckWord
@@ -212,7 +215,7 @@ class SweepReport:
                         "unequal": sum(f["unequal"] for f in out.values())}
         return out
 
-    def to_json(self, *, include_entries: bool = True) -> str:
+    def _document(self, include_entries: bool) -> dict:
         doc = {
             "summary": self.summary(),
             "paranoid": self.paranoid,
@@ -234,7 +237,15 @@ class SweepReport:
                 }
                 for e in self.entries
             ]
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return doc
+
+    def to_json(self, *, include_entries: bool = True) -> str:
+        return json.dumps(self._document(include_entries), indent=2,
+                          sort_keys=True)
+
+    def write_json(self, fh: TextIO) -> None:
+        """Stream the text of ``to_json()`` to an open file."""
+        json.dump(self._document(True), fh, indent=2, sort_keys=True)
 
 
 def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
@@ -308,7 +319,8 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
             report.timing["audit"] = time.perf_counter() - t_audit
             if progress:
                 progress(f"audit: {report.audit_checked} generic recomputations, "
-                         f"{report.audit_failures} failures")
+                         f"{report.audit_failures} failures "
+                         f"({report.timing['audit']:.1f}s)")
     finally:
         if pool is not None:
             pool.close()

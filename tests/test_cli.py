@@ -71,13 +71,6 @@ class TestCompute:
         assert rc == 2
         assert "error:" in err
 
-    def test_word_too_long_for_generic_keys(self, capsys):
-        letters = ",".join(["1"] * 200000)
-        rc, out, err = run(capsys, "compute", "--invariant", "lg",
-                           "--braid", f"{{2,{{{letters}}}}}")
-        assert (rc, out) == (2, "")
-        assert "200000 letters" in err
-
     def test_too_many_strands(self, capsys):
         for inv in ("ado3", "lg-spec", "lg"):
             rc, out, err = run(capsys, "compute", "--invariant", inv,

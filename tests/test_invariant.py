@@ -12,7 +12,6 @@ from braidinv.invariant import (
     ProportionalityError,
     _build_trie,
     _looped,
-    _shifts,
     _slot_width,
     _tables_for,
     _trace_totals,
@@ -109,7 +108,7 @@ class TestFixtures:
 
 
 # slot width of the packed kernels in the state tests: ample for words of
-# three letters (the generic kernel ignores it)
+# three letters
 WIDTH = 64
 
 
@@ -332,6 +331,18 @@ class TestPartialTrace:
         with pytest.raises(ProportionalityError):
             compute_ado3(b, paranoid=True)
 
+    @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
+    def test_nonzero_off_diagonal_block_raises(self, inv):
+        kernel, d = _BUILDERS[inv][3:]
+        totals = {(a, 0): kernel.zero() for a in range(d)}
+        totals[0, 0] = kernel.one()
+        assert invariant._finalize(inv, TREFOIL, totals, (0,), 0, WIDTH) == \
+            kernel.wrap(kernel.one(), 0, WIDTH)
+        totals[d - 1, 0] = kernel.one()
+        with pytest.raises(ProportionalityError,
+                           match=rf"off-diagonal block \({d - 1}, 0\)"):
+            invariant._finalize(inv, TREFOIL, totals, (0,), 0, WIDTH)
+
     def test_paranoid_rejects_wrong_weights_in_a_trie(self, monkeypatch):
         # four strands, a shared prefix on the top strand and sigma_1 tails:
         # the batched digits of strands 3 and 4 are traced out with their
@@ -355,43 +366,50 @@ class TestPacking:
     LONG = BraidWord(3, (1, -2) * 20)
 
     def test_long_word_cross_check(self):
-        # the generic lg path is dict based and shares no packing code
+        # the generic lg path shares only _digits and the width argument with
+        # the one-variable kernels: its tables, ring and weights are its own
         assert _slot_width("ado3", 3, [self.LONG.word]) > 64
         ado = compute_ado3(self.LONG).value
         assert max(max(abs(c.a), abs(c.b)).bit_length()
                    for _, c in ado.items()) == 42
         assert compute_lg_specialized(self.LONG).value == ado
-        assert specialize(compute_lg(self.LONG).value) == ado
+        generic = compute_lg(self.LONG).value
+        assert specialize(generic) == ado
+        assert _slot_width("lg", 3, [self.LONG.word]) >= 2 + max(
+            abs(c).bit_length() for _, c in generic.items())
 
     def test_narrow_width_trips_the_guard(self, monkeypatch):
         monkeypatch.setattr(invariant, "_slot_width", lambda *args: 16)
-        with pytest.raises(OverflowError):
-            compute_ado3(self.LONG)
-        with pytest.raises(OverflowError):
-            compute_lg_specialized(self.LONG)
+        for compute in (compute_ado3, compute_lg_specialized, compute_lg):
+            with pytest.raises(OverflowError, match="16-bit slot"):
+                compute(self.LONG)
 
-    @pytest.mark.parametrize("inv", ["ado3", "lg-spec"])
+    @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
     def test_round_trip(self, inv):
+        # extreme digits at negative exponents decode; one more is in the
+        # guard band
         kernel = _BUILDERS[inv][3]
         top = 2 ** (WIDTH - 2) - 1
-        poly = LaurentPoly1({-7: (top, -top), -4: (-top, 1), 0: (0, top),
-                             3: (-1, -top)})
-        flat = tuple((e, c.a, c.b) for e, c in poly.items())
-        packed = kernel.zero()
-        for term in _shifts(flat, -7, WIDTH):
-            packed = kernel.accumulate(packed, kernel.one(), term)
-        value = kernel.wrap(packed, -7, WIDTH)
-        assert value == poly
-        # one more is in the guard band
-        term = _shifts(((0, top + 1, 0),), 0, WIDTH)[0]
-        with pytest.raises(OverflowError):
-            kernel.wrap(kernel.accumulate(kernel.zero(), kernel.one(), term),
-                        0, WIDTH)
+        if inv == "lg":
+            poly = LaurentPoly2({(-3, -7): top, (-3, -2): -top, (-1, -7): 1,
+                                 (0, 4): -top, (2, -5): top})
+            over = LaurentPoly2.monomial(-2, -1, top + 1)
+        else:
+            poly = LaurentPoly1({-7: (top, -top), -4: (-top, 1), 0: (0, top),
+                                 3: (-1, -top)})
+            over = LaurentPoly1({-1: (top + 1, 0)})
 
-    def test_generic_exponent_range(self):
-        # every |e1| must stay below 2**19 for the int keys to decode
-        with pytest.raises(ValueError, match="200000 letters"):
-            closure_values("lg", [BraidWord(2, (1,) * 200000)])
+        def round_trip(value):
+            # one letter whose only column holds the value
+            flat = kernel.terms(value)
+            offset = kernel.low([flat])
+            table = [kernel.pack(((0, flat),), offset, WIDTH)] + [()] * 15
+            ((_, amp),) = kernel.apply({0: kernel.one()}, 0, table).items()
+            return kernel.wrap(amp, offset, WIDTH)
+
+        assert round_trip(poly) == poly
+        with pytest.raises(OverflowError):
+            round_trip(over)
 
 
 class TestMarkovMoves:

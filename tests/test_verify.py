@@ -1,5 +1,6 @@
 """Relation checks, the shared family trunk, sweep machinery, reports."""
 
+import io
 import json
 import random
 import re
@@ -181,6 +182,12 @@ class TestSweep:
         assert "entries" not in slim
         assert slim["summary"] == docs[0]["summary"]
 
+    def test_write_json_streams_to_json(self):
+        _, report = _small_sweep(audit_fraction=0.5)
+        fh = io.StringIO()
+        report.write_json(fh)
+        assert fh.getvalue() == report.to_json()
+
     def test_audit_catches_corrupted_table(self, monkeypatch):
         # negative control: flip the sign of one lg-spec table term (letter
         # 2, both strands in state 0); the audited knots must fail
@@ -212,21 +219,22 @@ class TestSweep:
 
     def test_timing_per_family_and_invariant(self):
         messages = []
-        report = run_equality_sweep(
-            enumerate_s4_check_words()[:24] + family_words("Type1")[:12],
-            audit_fraction=0, progress=messages.append)
+        _, report = _small_sweep(audit_fraction=0.5,
+                                 progress=messages.append)
         assert sorted(report.timing) == [
             "S4", "S4.ado3", "S4.lg-spec", "Type1", "Type1.ado3",
-            "Type1.lg-spec", "total"]
+            "Type1.lg-spec", "audit", "total"]
         for family in ("S4", "Type1"):
             passes = (report.timing[f"{family}.ado3"]
                       + report.timing[f"{family}.lg-spec"])
             assert 0 < passes <= report.timing[family]
-        # the progress lines keep their text: only the report gained keys
+        # every progress line ends in the seconds of its pass
         pattern = (r"(S4|Type1): (colored Alexander|specialized Links-Gould) "
                    r"pass done \(\d+\.\ds\)")
-        assert len(messages) == 4
-        assert all(re.fullmatch(pattern, msg) for msg in messages)
+        assert len(messages) == 5
+        assert all(re.fullmatch(pattern, msg) for msg in messages[:4])
+        assert re.fullmatch(r"audit: 18 generic recomputations, 0 failures "
+                            r"\(\d+\.\ds\)", messages[4])
 
     def test_parallel_matches_serial(self):
         words = enumerate_s4_check_words()[:24]
