@@ -11,8 +11,8 @@ t0 = t^2, t1 = w^2 t^-2.  Finally the two share a denominator-cleared
 skein-pair relation, the engine behind the equality of the invariants.
 
 The published Links-Gould matrix needs the square root Y of
-p = (t0 - 1)(1 - t1).  Conjugating it by diag(1, 1, 1, Y) on each strand
-removes Y from every entry without changing any closure value.
+p = (t0 - 1)(1 - t1).  Conjugating it by diag(1, 1, 1, Y^-1) on each
+strand removes Y from every entry without changing any closure value.
 """
 
 from braidinv.rep import (
@@ -58,20 +58,20 @@ def main() -> None:
     match = lg_specialized_cubic_coeffs() == ado_cubic_coeffs()
     print(f"  specialized Links-Gould coefficients equal the colored Alexander ones: {match}")
 
-    print("\n=== the gauge D = diag(1, 1, 1, Y) ===")
+    print("\n=== the gauge D = diag(1, 1, 1, Y^-1) ===")
     print(f"p = Y^2 = {GENERIC_MODULUS}")
-    print("The four Y cells o*Y each move one v_3; D^-1 R D holds o*p where the")
-    print("column has the extra v_3 and o where the row has it (x = 4i + j is v_i v_j):")
+    print("The four Y cells o*Y each move one v_3; D^-1 R D holds o where the")
+    print("column has the extra v_3 and o*p where the row has it (x = 4i + j is v_i v_j):")
     for row, col in [(6, 12), (12, 6), (9, 12), (12, 9)]:
         print(f"  ({row}, {col})  {r16.get(row, col)}")
 
     def n3(x):
         return (x >> 2 == 3) + (x & 3 == 3)
 
-    # undoing the gauge multiplies cell (r, c) by Y^(n3(r) - n3(c)); the
-    # published matrix is symmetric, so p^n3(r) R[r, c] = p^n3(c) R[c, r]
-    sym = all(GENERIC_MODULUS ** n3(row) * val
-              == GENERIC_MODULUS ** n3(col) * r16.get(col, row)
+    # undoing the gauge multiplies cell (r, c) by Y^(n3(c) - n3(r)); the
+    # published matrix is symmetric, so p^n3(c) R[r, c] = p^n3(r) R[c, r]
+    sym = all(GENERIC_MODULUS ** n3(col) * val
+              == GENERIC_MODULUS ** n3(row) * r16.get(col, row)
               for row, col, val in r16.entries())
     print(f"symmetric once the gauge is undone: {sym}")
 

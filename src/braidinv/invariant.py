@@ -53,8 +53,8 @@ kernels cover the rings involved:
 
 Neither carries the square root Y = sqrt((t0 - 1)(1 - t1)) of the
 literature's Links-Gould R-matrix: ``rep.build_lg_r`` conjugates it by
-diag(1, 1, 1, Y) on every strand.  That gauge scales the (a, c) block of the
-trace by a power of Y that is 1 when a = c, so the invariant and the
+diag(1, 1, 1, Y**-1) on every strand.  That gauge scales the (a, c) block of
+the trace by a power of Y that is 1 when a = c, so the invariant and the
 paranoid diagonal blocks are those of the Y form, and the off-diagonal
 blocks still vanish.  Its build-time rule (odd cells move one v_3, even
 cells none) is also the proof that the Y form's scalar has no odd part.

@@ -9,8 +9,8 @@ small vector space V with basis v_0..v_{d-1}:
   over Z[w].
 * the Links-Gould representation (d = 4) from quantum gl(2|1), in two
   variables t0 = s0**2, t1 = s1**2.  Its literature form needs the square root
-  Y = sqrt((t0 - 1)(1 - t1)); conjugating by diag(1, 1, 1, Y) on each strand
-  (a gauge that leaves every closure value alone) puts all entries in
+  Y = sqrt((t0 - 1)(1 - t1)); conjugating by diag(1, 1, 1, Y**-1) on each
+  strand (a gauge that leaves every closure value alone) puts all entries in
   Z[s0**±1, s1**±1].
 
 Positive braid letters act by R, negative by its inverse; R**-1 is derived
@@ -232,12 +232,16 @@ def _n3(x: int) -> int:
 
 
 def _gauge(even: Mapping, odd: Mapping) -> dict:
-    """R-matrix cells conjugated by D (x) D, D = diag(1, 1, 1, Y).
+    """R-matrix cells conjugated by D (x) D, D = diag(1, 1, 1, Y**-1).
 
-    Cell (r, c) is scaled by Y**(n3(c) - n3(r)).  An even cell must keep
+    Cell (r, c) is scaled by Y**(n3(r) - n3(c)).  An even cell must keep
     n3, so it is unchanged.  An odd cell o*Y must move exactly one v_3: it
-    becomes o*p (Y**2 = p, ``GENERIC_MODULUS``) when the column has the extra
-    v_3 and o when the row has it.  Anything else raises ValueError.
+    becomes o when the column has the extra v_3 and o*p (Y**2 = p,
+    ``GENERIC_MODULUS``) when the row has it.  Anything else raises
+    ValueError.  Of the two such gauges this one puts p on the row of
+    v_3 (x) v_0 instead of on its column, which already holds p on the
+    diagonal: a column's coefficients then sum to at most 7 in absolute
+    value, not 13, and that sum sets the kernels' slot widths.
     """
     cells = {}
     for (r, c), v in even.items():
@@ -249,20 +253,20 @@ def _gauge(even: Mapping, odd: Mapping) -> dict:
         if step not in (1, -1):
             raise ValueError(f"odd cell ({r}, {c}) moves {step} v_3 factors, "
                              f"not one")
-        cells[r, c] = o * GENERIC_MODULUS if step == 1 else o
+        cells[r, c] = o if step == 1 else o * GENERIC_MODULUS
     return cells
 
 
 @lru_cache(maxsize=None)
 def build_lg_r() -> LocalOperator:
-    """Links-Gould R-matrix on V (x) V, dim V = 4, in the diag(1, 1, 1, Y)
-    gauge, with entries in Z[s0**±1, s1**±1].
+    """Links-Gould R-matrix on V (x) V, dim V = 4, in the
+    diag(1, 1, 1, Y**-1) gauge, with entries in Z[s0**±1, s1**±1].
 
     The transcription is the literature's: ``even`` cells in t0 = s0**2,
     t1 = s1**2, and ``odd`` cells, the coefficients of Y with
     Y**2 = (t0 - 1)(1 - t1).  ``_gauge`` conjugates by D (x) D.  The closure
     weights are diagonal, so D leaves them alone, and the (a, c) block of a
-    closure's partial trace is scaled by Y**(n3(c) - n3(a)): every diagonal
+    closure's partial trace is scaled by Y**(n3(a) - n3(c)): every diagonal
     block, the invariant among them, is what the Y form gives.  The gauge
     rule also proves that the Y form's scalar has no odd part: each even
     cell keeps n3 and each odd cell changes it by one, so a product of cells

@@ -148,11 +148,11 @@ def test_random_knots_against_burau():
 
 @pytest.fixture
 def perturbed_lg_r(monkeypatch):
-    """The generic engine with one gauged cell of R changed: (12, 9), the
+    """The generic engine with one gauged cell of R changed: (9, 12), the
     bare Y cell, from 1 to -1."""
     r = build_lg_r()
     cells = {(row, col): v for row, col, v in r.entries()}
-    cells[12, 9] = -cells[12, 9]
+    cells[9, 12] = -cells[9, 12]
     _, *rest = invariant._BUILDERS["lg"]
     monkeypatch.setitem(invariant._BUILDERS, "lg",
                         (lambda: LocalOperator(r.size, cells), *rest))

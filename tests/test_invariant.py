@@ -1,5 +1,6 @@
 """The closure-invariant engine: letter tables, the trie walk, traces."""
 
+import math
 import random
 from itertools import product
 
@@ -11,6 +12,7 @@ from braidinv.invariant import (
     _BUILDERS,
     ProportionalityError,
     _build_trie,
+    _letters_for,
     _looped,
     _slot_width,
     _tables_for,
@@ -20,8 +22,16 @@ from braidinv.invariant import (
     compute_lg,
     compute_lg_specialized,
 )
+from braidinv.rep import (
+    LocalOperator,
+    _n3,
+    build_lg_r,
+    invert_r,
+    lg_cubic_coeffs,
+)
 from braidinv.ring import (
     CycScalar,
+    GENERIC_MODULUS,
     LaurentPoly1,
     LaurentPoly2,
     parse_poly,
@@ -362,13 +372,30 @@ class TestPartialTrace:
 
 
 class TestPacking:
-    # 40 letters on 3 strands: coefficients of 42 bits, slots wider than 64
+    # 40 letters on 3 strands: coefficients of 42 bits, 128-bit slots
     LONG = BraidWord(3, (1, -2) * 20)
+
+    def test_letter_growth(self):
+        # the largest column of R and of R**-1 sums to 7 in absolute value
+        # for lg, and to 6 in |a + b w| for lg-spec
+        for inv, norm in (("lg", 7), ("lg-spec", 6)):
+            letters = _letters_for(inv, 5)
+            assert letters[1].growth == letters[-1].growth == math.log2(norm)
+
+    def test_sweep_words_fit_64_bit_slots(self):
+        # a 20-letter Type8 word and a 17-letter audit word of the
+        # five-strand sweep
+        type8 = (4, -3, 2, -1, 2, -3, 4, -3, 2, -1, 2, -3, 4, -3, 2, -1, 2,
+                 -3, 2, 1)
+        audit = (-4, -3, 2, -1, 2, -3, 4, -3, 2, -1, 2, -3, -4, 3, 2, 2, 1)
+        assert _slot_width("lg-spec", 5, [type8]) == 64
+        assert _slot_width("lg", 5, [audit]) == 64
 
     def test_long_word_cross_check(self):
         # the generic lg path shares only _digits and the width argument with
         # the one-variable kernels: its tables, ring and weights are its own
-        assert _slot_width("ado3", 3, [self.LONG.word]) > 64
+        for inv in ("ado3", "lg-spec", "lg"):
+            assert _slot_width(inv, 3, [self.LONG.word]) == 128
         ado = compute_ado3(self.LONG).value
         assert max(max(abs(c.a), abs(c.b)).bit_length()
                    for _, c in ado.items()) == 42
@@ -410,6 +437,69 @@ class TestPacking:
         assert round_trip(poly) == poly
         with pytest.raises(OverflowError):
             round_trip(over)
+
+
+def _div_p(value):
+    """value / p for a multiple of p: long division on the lexicographically
+    largest term, p's being -s0**2 s1**2."""
+    quotient, rem = LaurentPoly2.zero(), value
+    low0, low1 = (min(e[i] for e, _ in value.items()) for i in (0, 1))
+    while rem:
+        (e0, e1), c = max(rem.items())
+        assert e0 - 2 >= low0 and e1 - 2 >= low1, \
+            f"{value} is not a multiple of p"
+        term = LaurentPoly2.monomial(e0 - 2, e1 - 2, -c)
+        quotient, rem = quotient + term, rem - term * GENERIC_MODULUS
+    return quotient
+
+
+@pytest.fixture
+def y_gauge_lg(monkeypatch):
+    """The generic engine on the Links-Gould R-matrix in the other gauge,
+    diag(1, 1, 1, Y): R' cell (r, c) scaled by p**(n3(c) - n3(r))."""
+    r = build_lg_r()
+    cells = {}
+    for row, col, v in r.entries():
+        step = _n3(col) - _n3(row)
+        cells[row, col] = (v * GENERIC_MODULUS if step == 1
+                           else _div_p(v) if step == -1 else v)
+    other = LocalOperator(r.size, cells)
+    # the column of v_3 (x) v_0 now carries p on three cells
+    assert other.get(6, 12) == \
+        LaurentPoly2.monomial(1, 1, -1) * GENERIC_MODULUS
+    assert other.get(12, 9) == LaurentPoly2.one()
+    other_inv = invert_r(other, lg_cubic_coeffs())
+    _, _, *rest = invariant._BUILDERS["lg"]
+    monkeypatch.setitem(invariant._BUILDERS, "lg",
+                        (lambda: other, lambda: other_inv, *rest))
+    invariant._letters_for.cache_clear()
+    invariant._tables_for.cache_clear()
+    yield
+    invariant._letters_for.cache_clear()
+    invariant._tables_for.cache_clear()
+
+
+def _gauge_words():
+    rng = random.Random(1729)
+    words = [TREFOIL, FIG8, HOPF]
+    for _ in range(10):
+        n = rng.choice((3, 4))
+        words.append(BraidWord(n, tuple(
+            rng.choice((1, -1)) * rng.randint(1, n - 1)
+            for _ in range(rng.randint(3, 8)))))
+    return words
+
+
+class TestGauge:
+    def test_values_do_not_depend_on_the_gauge(self, request):
+        # both gauges conjugate the Y form by a diagonal matrix, so every
+        # block of the paranoid trace, the invariant among them, agrees
+        words = _gauge_words()
+        ours = [compute_lg(b, paranoid=True).value for b in words]
+        request.getfixturevalue("y_gauge_lg")
+        assert _letters_for("lg", 2)[1].growth == math.log2(13)
+        theirs = [compute_lg(b, paranoid=True).value for b in words]
+        assert ours == theirs
 
 
 class TestMarkovMoves:

@@ -133,25 +133,26 @@ class TestLgR:
         assert r.get(6, 9) == mon(1, 1, -1)
         assert r.get(4, 1) == mon(1, 0)
         assert r.get(15, 15) == mon(0, 2)
-        # the four Y cells: times p when the column holds the extra v_3,
-        # bare when the row does
-        assert r.get(6, 12) == mon(1, 1, -1) * p
-        assert r.get(12, 6) == mon(1, 1, -1)
-        assert r.get(9, 12) == p
-        assert r.get(12, 9) == LaurentPoly2.one()
+        # the four Y cells: bare when the column holds the extra v_3, times
+        # p when the row does
+        assert r.get(6, 12) == mon(1, 1, -1)
+        assert r.get(12, 6) == mon(1, 1, -1) * p
+        assert r.get(9, 12) == LaurentPoly2.one()
+        assert r.get(12, 9) == p
         assert r.nnz() == 26
 
     def test_symmetric(self):
-        # the Y form is symmetric: R[r, c] = Y**(n3(r) - n3(c)) R'[r, c] for
-        # the gauged R', so p**n3(r) R'[r, c] = p**n3(c) R'[c, r]
+        # the Y form is symmetric: R[r, c] = Y**(n3(c) - n3(r)) R'[r, c] for
+        # the gauged R', so p**n3(c) R'[r, c] = p**n3(r) R'[c, r]
         r = build_lg_r()
         p = GENERIC_MODULUS
         for row, col, v in r.entries():
-            assert p ** _n3(row) * v == p ** _n3(col) * r.get(col, row)
+            assert p ** _n3(col) * v == p ** _n3(row) * r.get(col, row)
 
     def test_gauge_rule_rejects_misplaced_cells(self):
         one = LaurentPoly2.one()
-        assert _gauge({}, {(12, 9): one}) == {(12, 9): one}
+        assert _gauge({}, {(9, 12): one}) == {(9, 12): one}
+        assert _gauge({}, {(12, 9): one}) == {(12, 9): GENERIC_MODULUS}
         # v_1 (x) v_2 -> v_2 (x) v_1 moves no v_3: not a Y cell
         with pytest.raises(ValueError, match="odd cell"):
             _gauge({}, {(6, 9): one})

@@ -177,15 +177,15 @@ class TestLaurentPoly2:
 
 class TestExtScalar:
     """The Y = sqrt(p) extension, which the package now realises only
-    through the diag(1, 1, 1, Y) gauge of the Links-Gould R-matrix."""
+    through the diag(1, 1, 1, Y**-1) gauge of the Links-Gould R-matrix."""
 
     def test_y_squared_is_modulus(self):
         # v_1 (x) v_2 -> v_3 (x) v_0 -> v_1 (x) v_2 crosses two Y cells; in
-        # the gauge the column-up cell carries p and the row-up cell 1
+        # the gauge the column-up cell carries 1 and the row-up cell p
         one = LaurentPoly2.one()
         cells = _gauge({}, {(6, 12): one, (12, 6): one})
-        assert cells[6, 12] == GENERIC_MODULUS
-        assert cells[12, 6] == one
+        assert cells[6, 12] == one
+        assert cells[12, 6] == GENERIC_MODULUS
         assert cells[6, 12] * cells[12, 6] == GENERIC_MODULUS
 
 
