@@ -49,7 +49,8 @@ def main() -> None:
     print("palindromic symmetry across the slice:")
     print(f"  {check_symmetry(report.entries).line()}")
 
-    doc = json.loads(report.to_json(include_entries=False))
+    doc = json.loads(report.to_json())
+    del doc["entries"]
     print("\nreport JSON (entries elided):")
     print(json.dumps(doc, indent=2, sort_keys=True))
 

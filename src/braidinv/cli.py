@@ -48,6 +48,12 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
+def _error(exc: Exception) -> int:
+    """Report a usage or input error; its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_compute(args) -> int:
     try:
         if args.braid is not None:
@@ -56,8 +62,7 @@ def cmd_compute(args) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 braids = list(read_braid_list(fh))
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     fn = _COMPUTE[args.invariant]
     try:
         for b in braids:
@@ -66,8 +71,7 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     return 0
 
 
@@ -96,11 +100,23 @@ def _suite_words(suite: str):
 
 
 def cmd_verify(args) -> int:
+    words = _suite_words(args.suite)
+    if words is None or not args.report:
+        return _run_verify(args, words, None)
+    # opened before the sweep, so that a bad path fails at once
+    try:
+        report_fh = open(args.report, "w", encoding="utf-8")
+    except OSError as exc:
+        return _error(exc)
+    with report_fh:
+        return _run_verify(args, words, report_fh)
+
+
+def _run_verify(args, words, report_fh) -> int:
     checks: list[CheckResult] = []
     if args.suite in ("relations", "all"):
         checks.extend(_relation_checks())
     report = None
-    words = _suite_words(args.suite)
     if words is not None:
         report = run_equality_sweep(words, jobs=args.jobs, paranoid=args.paranoid,
                                     audit_fraction=args.audit, progress=_progress)
@@ -132,15 +148,18 @@ def cmd_verify(args) -> int:
                 print(f"UNEQUAL {entry.braid.format()} diff {entry.diff}")
         _progress(f"sweep time: {report.timing.get('total', 0.0):.1f}s")
         ok = ok and report.all_equal
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                report.write_json(fh)
+        if report_fh is not None:
+            report.write_json(report_fh)
             _progress(f"report written to {args.report}")
     return 0 if ok else 1
 
 
 def cmd_enumerate(args) -> int:
-    for path in write_family_files(args.out):
+    try:
+        paths = write_family_files(args.out)
+    except OSError as exc:
+        return _error(exc)
+    for path in paths:
         print(path)
     return 0
 

@@ -51,10 +51,6 @@ TYPE_FIXED: dict[int, Letters] = {
     10: (-4,) + W_MINUS + (4,) + W_MINUS + (-4,),
 }
 
-# families 8-10 are defined with the fixed part leading; 1-7 are defined with
-# it trailing and are rotated to leading so that the fixed part is shared
-ROTATED_TYPES = frozenset(range(1, 8))
-
 FAMILY_TAGS = ("S4",) + tuple(f"Type{k}" for k in range(1, 11))
 
 

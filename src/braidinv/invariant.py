@@ -32,8 +32,7 @@ weight and merges with the keys that differed only there.  The digits of
 the lower strands are looped outside the walk, which bounds a state's size
 (``_looped``), and down a single-child chain that leads to a drop the starts
 go one at a time, so the batched state is only built once the drop has
-shrunk it.  A lone braid batches nothing and is walked unfrozen, one middle
-at a time: its cost is the same wherever its reach drops.
+shrunk it.
 
 States are sparse maps from packed keys to amplitudes: strand s contributes
 two bits at position 2(s-1) (both representations have d <= 4).  Per letter
@@ -481,12 +480,9 @@ def _build_trie(seqs: Sequence[tuple[int, ...]]) -> _Node:
     return root
 
 
-def _looped(kernel, strands: int, seqs: int) -> int:
-    """How many middle digits a walk of so many sequences loops outside
-    it: all but the kernel's ``batched`` top ones, and all of them for a
-    lone sequence, which batches none."""
-    if seqs == 1:
-        return strands - 1
+def _looped(kernel, strands: int) -> int:
+    """How many middle digits a walk loops outside it: all but the
+    kernel's ``batched`` top ones."""
     return max(0, strands - 1 - kernel.batched)
 
 
@@ -504,19 +500,18 @@ def _trace_totals(invariant: str, strands: int,
     its current digits, and is walked through the trie depth first; a node's
     last child continues in the same frame, so a single-child chain holds
     only the current state.  Down a single-child chain that leads to a reach
-    drop (a family's fixed part, say) the starts are walked one at a time,
-    so the batched state is only built where the drop has shrunk it.  Each
-    letter's table is stored relative to its least exponent, so a
-    sequence's base is the sum of its letters' least exponents.
+    drop (a family's fixed part, or a lone sequence up to its first drop)
+    the starts are walked one at a time, so the batched state is only built
+    where the drop has shrunk it.  Each letter's table is stored relative to
+    its least exponent, so a sequence's base is the sum of its letters' least
+    exponents.
 
     Where the reach drops, the strands above it are traced out: a key is
     kept only if their current digits equal its start's, it is multiplied by
     the closure weights of its frozen batched digits, and both digit groups
     are stripped, so keys that differed only in frozen batched digits merge.
     A sequence's slot reads the keys whose live current digits equal their
-    start's, weighted by the looped and the live batched digits.  A lone
-    sequence is walked unfrozen (reach 0 never drops), so it costs the same
-    wherever its reach drops.
+    start's, weighted by the looped and the live batched digits.
     """
     _, _, _, kernel, d = _BUILDERS[invariant]
     tables = _tables_for(invariant, strands, width)
@@ -529,8 +524,7 @@ def _trace_totals(invariant: str, strands: int,
     totals = [{(a, c): kernel.zero() for a in range(d) for c in columns}
               for _ in seqs]
     apply, accumulate, zero = kernel.apply, kernel.accumulate, kernel.zero
-    top = strands - 1 if len(seqs) > 1 else 0
-    looped = _looped(kernel, strands, len(seqs))
+    looped = _looped(kernel, strands)
     # per frozen batched digit count, their packed pattern -> the product of
     # their weights, packed relative to exponent low per digit as the bases
     # assume (like the slots' weights)
@@ -592,7 +586,7 @@ def _trace_totals(invariant: str, strands: int,
     # per node from which a chain of single children, on which the reach
     # stays, leads to an inner node where it drops: that node
     drops: dict[_Node, _Node] = {}
-    if top and looped < strands - 1:
+    if looped < strands - 1:
         order = [root]
         for node in order:
             order.extend(child for _, child in node.children)
@@ -659,12 +653,12 @@ def _trace_totals(invariant: str, strands: int,
     for outer in list(product(range(d), repeat=looped))[part::parts]:
         # the key of (0, outer): strand s + 2 holds digit outer[s]
         target = sum(digit << (2 * s + 2) for s, digit in enumerate(outer))
-        # per reach, the live strands; all of them for a lone sequence
-        diag = ([diagonal(reach + 1, outer) for reach in range(strands)]
-                if top else [diagonal(strands, outer)])
+        # per reach, the live strands
+        diag = [diagonal(reach + 1, outer) for reach in range(strands)]
         for c in columns:
             # every start (c, outer, batch) is a diagonal key of the top reach
-            walk(root, {key | c: kernel.one() for key, _ in diag[top]}, top)
+            walk(root, {key | c: kernel.one() for key, _ in diag[-1]},
+                 strands - 1)
     # walk refers to itself: drop it, so that its closure (the weight cache
     # among it) is freed now and not at the next garbage collection
     del walk
@@ -690,8 +684,11 @@ def _finalize(invariant: str, braid: BraidWord, totals: dict,
     return scalar
 
 
-# A lone braid's trace walks d**(n - 1) middle indices per column, 4**7 =
-# 16384 for Links-Gould on 8 strands; braids on more strands are refused.
+# A trace loops d**(n - 1 - batched) values of the lower middle digits per
+# column, each a walk whose state starts as the d**batched values of the top
+# ones: on 8 strands 4**6 = 4096 walks of 4 starts for generic Links-Gould,
+# 4**5 = 1024 of 16 for the specialized one.  Braids on more strands are
+# refused.
 MAX_STRANDS = 8
 
 
@@ -722,7 +719,7 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     width = _slot_width(invariant, strands, seqs)
     columns = tuple(range(d)) if paranoid else (0,)
     if pool is not None and jobs > 1:
-        parts = min(jobs, d ** _looped(kernel, strands, len(seqs)))
+        parts = min(jobs, d ** _looped(kernel, strands))
         chunks = pool.starmap(_trace_totals, [
             (invariant, strands, seqs, columns, width, i, parts)
             for i in range(parts)])

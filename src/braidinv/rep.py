@@ -164,10 +164,6 @@ class DiagonalOperator:
 
     values: tuple
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 # --- colored Alexander side (d = 3) ---------------------------------------
 
@@ -346,25 +342,9 @@ def lg_specialized_cubic_coeffs() -> tuple[LaurentPoly1, LaurentPoly1,
 
 # --- inversion and derived operators ---------------------------------------
 
-def _ring_one_like(x):
-    """The multiplicative unit of the ring x lives in."""
-    if isinstance(x, LaurentPoly1):
-        return LaurentPoly1.one()
-    if isinstance(x, LaurentPoly2):
-        return LaurentPoly2.one()
-    raise TypeError(f"unsupported ring element {type(x).__name__}")
-
-
-def ring_unit_inverse(x):
-    """Inverse of a unit-monomial ring element (the only divisions we allow)."""
-    if isinstance(x, (LaurentPoly1, LaurentPoly2)):
-        return x.unit_monomial_inverse()
-    raise TypeError(f"unsupported ring element {type(x).__name__}")
-
-
 def operator_one(op: LocalOperator):
     for v in op._entries.values():
-        return _ring_one_like(v)
+        return type(v).one()
     raise ValueError("cannot infer ring from the zero operator")
 
 
@@ -377,7 +357,8 @@ def invert_r(r: LocalOperator, cubic: tuple) -> LocalOperator:
     c2, c1, c0 = cubic
     one = operator_one(r)
     ident = LocalOperator.identity(r.size, one)
-    rinv = (r @ r - r.scale(c2) - ident.scale(c1)).scale(ring_unit_inverse(c0))
+    rinv = (r @ r - r.scale(c2) - ident.scale(c1)).scale(
+        c0.unit_monomial_inverse())
     if r @ rinv != ident or rinv @ r != ident:
         raise ValueError("cubic-based inverse failed verification")
     return rinv

@@ -215,16 +215,14 @@ class SweepReport:
                         "unequal": sum(f["unequal"] for f in out.values())}
         return out
 
-    def _document(self, include_entries: bool) -> dict:
-        doc = {
+    def _document(self) -> dict:
+        return {
             "summary": self.summary(),
             "paranoid": self.paranoid,
             "audit": {"every": self.audit_every, "checked": self.audit_checked,
                       "failures": self.audit_failures},
             "timing": {k: round(v, 3) for k, v in self.timing.items()},
-        }
-        if include_entries:
-            doc["entries"] = [
+            "entries": [
                 {
                     "braid": e.braid.format(),
                     "family": e.family,
@@ -236,16 +234,15 @@ class SweepReport:
                     "audited": e.audited,
                 }
                 for e in self.entries
-            ]
-        return doc
+            ],
+        }
 
-    def to_json(self, *, include_entries: bool = True) -> str:
-        return json.dumps(self._document(include_entries), indent=2,
-                          sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self._document(), indent=2, sort_keys=True)
 
     def write_json(self, fh: TextIO) -> None:
         """Stream the text of ``to_json()`` to an open file."""
-        json.dump(self._document(True), fh, indent=2, sort_keys=True)
+        json.dump(self._document(), fh, indent=2, sort_keys=True)
 
 
 def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,

@@ -146,6 +146,19 @@ class TestVerify:
             assert rc == 0
             assert seen.pop() == used
 
+    def test_unwritable_report_fails_before_the_sweep(self, capsys, tmp_path,
+                                                      monkeypatch):
+        def sweep(words, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_equality_sweep", sweep)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, out, err = run(capsys, "verify", "--suite", "s4", "--jobs", "1",
+                           "--report", str(blocker / "r.json"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and "r.json" in err
+
     def test_audit_validation(self, capsys):
         for bad in ("5", "-1", "nan"):
             with pytest.raises(SystemExit) as exc:
@@ -164,6 +177,13 @@ class TestEnumerate:
         with open(paths[0]) as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
         assert len(lines) == 648
+
+    def test_unwritable_directory(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, out, err = run(capsys, "enumerate", "--out", str(blocker / "words"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and "words" in err
 
 
 class TestUsage:

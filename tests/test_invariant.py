@@ -122,15 +122,19 @@ class TestFixtures:
 WIDTH = 64
 
 
+def _key(index):
+    """The packed key of a multi-index."""
+    return sum(digit << (2 * s) for s, digit in enumerate(index))
+
+
 def _basis(inv, index):
     """The raw basis state of a multi-index, amplitude 1, and its base."""
-    key = sum(digit << (2 * s) for s, digit in enumerate(index))
-    return {key: _BUILDERS[inv][3].one()}, 0
+    return {_key(index): _BUILDERS[inv][3].one()}, 0
 
 
-def _evolve(inv, strands, word, state):
+def _evolve(inv, strands, word, state, width=WIDTH):
     kernel = _BUILDERS[inv][3]
-    tables = _tables_for(inv, strands, WIDTH)
+    tables = _tables_for(inv, strands, width)
     state, base = state
     for letter in word:
         shift, offset, table = tables[letter]
@@ -195,6 +199,16 @@ class TestStates:
             closure_values("ado3", [BraidWord(2, (1,)), BraidWord(3, (1,))])
 
 
+def _reaches(seq):
+    """The reach at each node of a word's own trie, root first."""
+    node = _build_trie([seq])
+    reaches = [node.reach]
+    while node.children:
+        ((_, node),) = node.children
+        reaches.append(node.reach)
+    return reaches
+
+
 class TestTrie:
     # on four strands: two indices with one letter sequence, a word that is
     # a prefix of two others whose branches reach different strands, and a
@@ -204,12 +218,7 @@ class TestTrie:
               (3, 2, -1, 2, 1))]
 
     def test_reach_drops_twice(self):
-        node = _build_trie([self.WORDS[-1].word])
-        reaches = [node.reach]
-        while node.children:
-            node = node.children[0][1]
-            reaches.append(node.reach)
-        assert reaches == [3, 2, 2, 2, 1, 0]
+        assert _reaches(self.WORDS[-1].word) == [3, 2, 2, 2, 1, 0]
 
     def test_trie_matches_single_words(self):
         for inv in ("ado3", "lg", "lg-spec"):
@@ -246,6 +255,38 @@ def _batched_words(rng):
     return groups
 
 
+# lone words on 4 and 5 strands: the top letter only first, so the reach
+# drops after one letter; the top letter only last, so it does not drop
+# before the end; a reach that drops twice (by two strands at once on 5)
+LONE_WORDS = [BraidWord(4, w) for w in
+              ((3, -2, 1, 2), (1, -2, 1, 3), (3, 2, -1, 2, 1))] + \
+             [BraidWord(5, w) for w in
+              ((4, 3, -2, 1, 2), (2, -3, 1, 2, 4), (4, 3, -4, 2, 1, 2, 1))]
+
+
+def _reference_blocks(inv, strands, seq, width):
+    """{(a, c): O[a, c]} of a word, one basis state (c, m) per column c and
+    middle multi-index m, each evolved alone and weighted in the ring by
+    the closure weights of m."""
+    _, _, build_h, kernel, d = _BUILDERS[inv]
+    h = build_h().values
+    ring = type(h[0])
+    blocks = {(a, c): ring.zero() for a in range(d) for c in range(d)}
+    for m in product(range(d), repeat=strands - 1):
+        weight = ring.one()
+        for digit in m:
+            weight = weight * h[digit]
+        for c in range(d):
+            state, base = _evolve(inv, strands, seq, _basis(inv, (c,) + m),
+                                  width)
+            for a in range(d):
+                amp = state.get(_key((a,) + m))
+                if amp is not None:
+                    blocks[a, c] = blocks[a, c] + \
+                        weight * kernel.wrap(amp, base, width)
+    return blocks
+
+
 class _SerialPool:
     """What closure_values needs of a process pool, run in this process."""
 
@@ -254,9 +295,9 @@ class _SerialPool:
 
 
 class TestBatchedWalk:
-    """One walk carries the batched middle digits of a shared trie and
-    traces frozen strands out where the reach drops; a lone word walks
-    every middle by itself, unfrozen."""
+    """One walk carries the batched middle digits of a trie, of one word or
+    of many, and traces frozen strands out where the reach drops; the
+    reference evolves every basis state of every middle alone."""
 
     GROUPS = _batched_words(random.Random(2029))
 
@@ -269,31 +310,45 @@ class TestBatchedWalk:
             assert any(b.word[3:] and max(map(abs, b.word[3:])) == 1
                        for b in group)                        # sigma_1 tails
             assert group[1].word == group[2].word[:3]         # a prefix
+        for first, last, twice in (LONE_WORDS[:3], LONE_WORDS[3:]):
+            top = first.strands - 1
+            reaches = _reaches(first.word)
+            assert reaches[0] == top > reaches[1]
+            assert _reaches(last.word)[:-1] == [top] * len(last.word)
+            inner = _reaches(twice.word)[:-1]           # the leaf is read
+            assert inner[0] == top
+            assert sum(b < a for a, b in zip(inner, inner[1:])) == 2
 
     @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
     def test_trie_blocks_match_lone_walks(self, inv):
         # the whole group branches at the root; the words that share the
         # prefix walk it as a chain, one start at a time, up to the drop
-        # where it ends (with and without a word that ends there too)
+        # where it ends (with and without a word that ends there too); a
+        # lone word is a chain from the root
         kernel, d = _BUILDERS[inv][3:]
         columns = range(d)
-        for n, group in self.GROUPS.items():
+        groups = dict(self.GROUPS)
+        for b in LONE_WORDS:
+            groups[b.strands] = groups[b.strands] + [b]
+        for n, group in groups.items():
+            assert _looped(kernel, n) < n - 1
             every = list(dict.fromkeys(b.word for b in group))
             width = _slot_width(inv, n, every)
-            lone = {seq: _trace_totals(inv, n, [seq], columns, width)
-                    for seq in every}
+            reference = {seq: _reference_blocks(inv, n, seq, width)
+                         for seq in every}
             prefix = group[1].word
             shared = [w for w in every if w[:2] == prefix[:2]]
-            for seqs in (every, shared, [w for w in shared if w != prefix]):
-                assert _looped(kernel, n, len(seqs)) < n - 1
+            for seqs in ([every, shared, [w for w in shared if w != prefix]]
+                         + [[seq] for seq in every]):
                 bases, totals = _trace_totals(inv, n, seqs, columns, width)
                 for seq, base, total in zip(seqs, bases, totals):
-                    (lone_base,), (blocks,) = lone[seq]
-                    assert base == lone_base
-                    assert set(total) == set(blocks)
-                    for ac, block in blocks.items():
-                        assert kernel.wrap(total[ac], base, width) == \
-                            kernel.wrap(block, base, width), (inv, seq, ac)
+                    assert set(total) == set(reference[seq])
+                    for ac, block in reference[seq].items():
+                        assert kernel.wrap(total[ac], base, width) == block, \
+                            (inv, seqs, seq, ac)
+            for b in group:
+                (value,) = closure_values(inv, [b], paranoid=True)
+                assert value == reference[b.word][0, 0], (inv, b)
 
     @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
     def test_duplicates_and_pool_split(self, inv):
@@ -311,12 +366,6 @@ class TestBatchedWalk:
             group = [b for b in words if b.strands == n]
             assert closure_values("ado3", group) == \
                 [ado3_reference(b) for b in group]
-
-    def test_lone_word_loops_every_digit(self):
-        for inv in ("ado3", "lg-spec", "lg"):
-            kernel = _BUILDERS[inv][3]
-            assert _looped(kernel, 5, 1) == 4
-            assert _looped(kernel, 5, 2) == 4 - kernel.batched
 
 
 class TestPartialTrace:
@@ -360,7 +409,7 @@ class TestPartialTrace:
         words = [BraidWord(4, (3, -2, 3) + tail)
                  for tail in ((1,), (1, 1, 1), (-1, 1, 1))]
         kernel = _BUILDERS["ado3"][3]
-        assert _looped(kernel, 4, len(words)) == 1
+        assert _looped(kernel, 4) == 1
         good = closure_values("ado3", words, paranoid=True)
         bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
                LaurentPoly1.t_power(2, -W))
