@@ -1,5 +1,10 @@
 """Command-line front end: compute invariants, run verification suites.
 
+``compute`` makes one ``invariant.closure_values`` call per strand count of
+its braids, so a file of related words shares its trie walk as a sweep
+family does, and prints the values in input order once every walk is done.
+Its ``--invariant`` choices are the engine's table, ``invariant._BUILDERS``.
+
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
 parse errors.  Results go to standard output (byte-identical across runs for
 a fixed input); progress and timing go to standard error.
@@ -18,12 +23,7 @@ from .hecke import (
     family_words,
     write_family_files,
 )
-from .invariant import (
-    ProportionalityError,
-    compute_ado3,
-    compute_lg,
-    compute_lg_specialized,
-)
+from .invariant import _BUILDERS, ProportionalityError, closure_values
 from .verify import (
     CheckResult,
     check_corollary,
@@ -34,15 +34,6 @@ from .verify import (
     check_yang_baxter,
     run_equality_sweep,
 )
-
-_COMPUTE = {
-    "ado3": compute_ado3,
-    "lg": compute_lg,
-    "lg-spec": compute_lg_specialized,
-}
-
-_PLAIN_SUITES = ("relations", "s4", "s5", "corollary", "symmetry", "all")
-
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
@@ -63,15 +54,25 @@ def cmd_compute(args) -> int:
                 braids = list(read_braid_list(fh))
     except (ValueError, OSError) as exc:
         return _error(exc)
-    fn = _COMPUTE[args.invariant]
+    # strand count -> the positions of its braids, in order of appearance
+    groups: dict[int, list[int]] = {}
+    for pos, b in enumerate(braids):
+        groups.setdefault(b.strands, []).append(pos)
+    values: list = [None] * len(braids)
     try:
-        for b in braids:
-            print(fn(b, paranoid=args.paranoid).value)
+        for positions in groups.values():
+            group = closure_values(args.invariant,
+                                   [braids[pos] for pos in positions],
+                                   paranoid=args.paranoid)
+            for pos, value in zip(positions, group):
+                values[pos] = value
     except ProportionalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         return _error(exc)
+    for value in values:
+        print(value)
     return 0
 
 
@@ -88,19 +89,23 @@ def _relation_checks() -> list[CheckResult]:
 
 
 def _suite_words(suite: str):
+    """The check words a suite sweeps, None for ``relations``; ValueError
+    for an unknown suite."""
+    if suite == "relations":
+        return None
     if suite in ("s4", "corollary", "symmetry"):
         return enumerate_s4_check_words()
     if suite == "s5":
         return enumerate_s5_check_words()
     if suite == "all":
         return enumerate_s4_check_words() + enumerate_s5_check_words()
-    if suite.startswith("s5-type="):
-        return family_words(f"Type{int(suite.split('=', 1)[1])}")
-    return None
+    tail = suite.removeprefix("s5-type=")
+    if tail != suite and tail.isdigit() and 1 <= int(tail) <= 10:
+        return family_words(f"Type{int(tail)}")
+    raise ValueError(f"unknown suite {suite!r}")
 
 
-def cmd_verify(args) -> int:
-    words = _suite_words(args.suite)
+def cmd_verify(args, words) -> int:
     if words is None or not args.report:
         return _run_verify(args, words, None)
     # opened before the sweep, so that a bad path fails at once
@@ -172,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     pc = sub.add_parser("compute", help="compute an invariant of braid closures")
-    pc.add_argument("--invariant", choices=sorted(_COMPUTE), required=True)
+    pc.add_argument("--invariant", choices=sorted(_BUILDERS),
+                    required=True)
     src = pc.add_mutually_exclusive_group(required=True)
     src.add_argument("--braid", help='braid text, e.g. "{3,{1,1,1}}"')
     src.add_argument("--file", help="braid-list file, one braid per line")
@@ -196,23 +202,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_suite(parser: argparse.ArgumentParser, suite: str) -> None:
-    if suite in _PLAIN_SUITES:
-        return
-    if suite.startswith("s5-type="):
-        tail = suite.split("=", 1)[1]
-        if tail.isdigit() and 1 <= int(tail) <= 10:
-            return
-    parser.error(f"unknown suite {suite!r}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.verb == "compute":
         return cmd_compute(args)
     if args.verb == "verify":
-        _validate_suite(parser, args.suite)
+        try:
+            words = _suite_words(args.suite)
+        except ValueError as exc:
+            parser.error(str(exc))
         if args.jobs is None:
             args.jobs = os.cpu_count() or 1
         if args.jobs < 1:
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
         args.jobs = min(args.jobs, os.cpu_count() or 1)
         if not 0 <= args.audit <= 1:
             parser.error(f"--audit must be in [0, 1], got {args.audit}")
-        return cmd_verify(args)
+        return cmd_verify(args, words)
     return cmd_enumerate(args)
 
 

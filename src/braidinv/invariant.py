@@ -64,12 +64,14 @@ the decoded totals need to fit their slots.  One base exponent (of t, or of
 s1) serves a whole state: each letter's table is stored relative to its
 least exponent, so every shift is non-negative, and the walk adds that
 exponent to the base; s0 exponents are row keys and need none.  The slot
-width W is fixed once per walk from a proof.  With N a letter's largest
-column norm (the sum of |a + b w|, or of |c| for integer coefficients, over
-a column's coefficients), a total's coefficients obey |a|, |b| <= 2/sqrt(3)
-* d**(n-1) * prod N over the word, and integer ones |c| <= d**(n-1) * prod
-N.  W is that many bits plus a sign bit and a guard bit, rounded up to a
-multiple of 32.  Decoding raises if a digit lands in the guard band.
+width W is fixed once per walk from a bound on the totals' coefficients,
+proved at ``_slot_width``.  Decoding raises if a digit lands in the guard
+band.
+
+``closure_values`` is the entry point: the braids of one strand count in one
+walk.  The equality sweep calls it per family, its audit and ``braidinv
+compute`` per strand count, and the ``compute_*`` functions with one braid.
+``_BUILDERS`` is the one table of the invariants and what they are built of.
 """
 
 from __future__ import annotations
@@ -78,10 +80,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, zip_longest
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord
 from .rep import (
+    ADO_DIM,
+    LG_DIM,
+    DiagonalOperator,
     LocalOperator,
     build_ado3_h,
     build_ado3_r,
@@ -144,12 +149,6 @@ def _digits(x: int, width: int) -> list[int]:
     return out
 
 
-def _width(bits: float) -> int:
-    """Slot width for coefficients of at most 2**bits in absolute value: a
-    sign bit and a guard bit on top, rounded up to a multiple of 32."""
-    return 32 * (int(bits + 2 + 1e-9) // 32 + 1)
-
-
 # --- amplitude kernels -------------------------------------------------------
 #
 # A kernel compiles ring elements (``terms``) and tables (``low``, ``growth``,
@@ -157,7 +156,9 @@ def _width(bits: float) -> int:
 # (``weight``, ``accumulate``, ``add``) into totals it decodes (``wrap``).
 # Callers keep what ``accumulate`` and ``add`` return: packed totals are ints
 # and cannot be updated in place.  ``batched`` is how many top strands' middle
-# digits one walk of a shared trie carries (see ``_looped``).
+# digits one walk of a shared trie carries (see ``_looped``), and
+# ``coordinate_bits`` what a packed coordinate of a coefficient can exceed
+# the coefficient's norm by (see ``_slot_width``).
 
 class _CycKernel:
     """Packed Z[w][t**±1] amplitudes (A, B): the colored Alexander and the
@@ -171,6 +172,7 @@ class _CycKernel:
     # on the Type8 family 2 batched digits were fastest: 1 took 1.5 times as
     # long, and 3 as long with four times the extra peak memory
     batched = 2
+    coordinate_bits = math.log2(2 / math.sqrt(3))
 
     def one(self) -> tuple:
         return (1, 0)
@@ -189,18 +191,6 @@ class _CycKernel:
     def growth(self, columns) -> float:
         """log2 of the largest column norm: the bits one letter can add."""
         return math.log2(max(sum(map(_l1, col)) for col in columns))
-
-    def width(self, growth: float, strands: int, d: int) -> int:
-        """Slot width whose digits hold every coefficient of a total.
-
-        A letter scales the L1 norm of a state (over keys and exponents,
-        |a + b*w| per coefficient) by at most its column norm N, so with
-        unit-norm start states a total over d**(strands-1) middles has
-        coefficients z with |z| <= d**(strands-1) * prod N; |a|, |b| <=
-        2/sqrt(3) * |z|.  A sign bit and a guard bit come on top.
-        """
-        return _width(math.log2(2 / math.sqrt(3))
-                      + (strands - 1) * math.log2(d) + growth)
 
     def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
         return tuple((delta,) + term for delta, flat in outputs
@@ -238,9 +228,6 @@ class _CycKernel:
     def add(self, dst: tuple, src: tuple) -> tuple:
         return tuple(x + y for x, y in zip(dst, src))
 
-    def is_zero(self, total: tuple) -> bool:
-        return not any(total)
-
     def wrap(self, total: tuple, base: int, width: int) -> LaurentPoly1:
         """(A, B) with t**(base + k) in slot k -> LaurentPoly1."""
         pairs = zip_longest(*(_digits(x, width) for x in total), fillvalue=0)
@@ -265,6 +252,7 @@ class _RowKernel:
     # about a tenth of the time, within the run-to-run spread, for 0.9 MB
     # more peak memory; 3 saved nothing for 6 MB more
     batched = 1
+    coordinate_bits = 0.0
 
     def one(self) -> dict:
         return {0: 1}
@@ -285,12 +273,6 @@ class _RowKernel:
         coefficients: the bits one letter can add."""
         return math.log2(max(sum(abs(c) for poly in col for _, _, c in poly)
                              for col in columns))
-
-    def width(self, growth: float, strands: int, d: int) -> int:
-        """Slot width whose digits hold every coefficient of a total: as for
-        ``_CycKernel`` the L1 norm of a state grows by at most a letter's
-        column norm N, so |c| <= d**(strands-1) * prod N."""
-        return _width((strands - 1) * math.log2(d) + growth)
 
     def pack(self, outputs: tuple, offset: int, width: int) -> tuple:
         packed = []
@@ -345,9 +327,6 @@ class _RowKernel:
             dst[r] = dst.get(r, 0) + x
         return dst
 
-    def is_zero(self, total: dict) -> bool:
-        return not any(total.values())
-
     def wrap(self, total: dict, base: int, width: int) -> LaurentPoly2:
         return LaurentPoly2({(e0, base + k): c for e0, x in total.items()
                              for k, c in enumerate(_digits(x, width))})
@@ -393,19 +372,33 @@ def compile_letter_tables(r: LocalOperator, rinv: LocalOperator, d: int,
             for k in range(1, strands) for sign in (1, -1)}
 
 
-# invariant -> (R builder, inverse builder, closure weight builder, kernel, d)
+class _Builders(NamedTuple):
+    """An invariant's R-matrix, inverse and closure weight builders, its
+    amplitude kernel and the dimension of one strand."""
+
+    r: Callable[[], LocalOperator]
+    rinv: Callable[[], LocalOperator]
+    h: Callable[[], DiagonalOperator]
+    kernel: _CycKernel | _RowKernel
+    d: int
+
+
+# invariant name -> its builders; the command line takes its choices here
 _BUILDERS = {
-    "ado3": (build_ado3_r, build_ado3_r_inverse, build_ado3_h, _CycKernel(), 3),
-    "lg": (build_lg_r, build_lg_r_inverse, build_lg_h, _RowKernel(), 4),
-    "lg-spec": (build_lg_r_specialized, build_lg_r_inverse_specialized,
-                build_lg_h_specialized, _CycKernel(), 4),
+    "ado3": _Builders(build_ado3_r, build_ado3_r_inverse, build_ado3_h,
+                      _CycKernel(), ADO_DIM),
+    "lg": _Builders(build_lg_r, build_lg_r_inverse, build_lg_h, _RowKernel(),
+                    LG_DIM),
+    "lg-spec": _Builders(build_lg_r_specialized, build_lg_r_inverse_specialized,
+                         build_lg_h_specialized, _CycKernel(), LG_DIM),
 }
 
 
 @lru_cache(maxsize=None)
 def _letters_for(invariant: str, strands: int) -> dict[int, _Letter]:
-    build_r, build_rinv, _, kernel, d = _BUILDERS[invariant]
-    return compile_letter_tables(build_r(), build_rinv(), d, strands, kernel)
+    spec = _BUILDERS[invariant]
+    return compile_letter_tables(spec.r(), spec.rinv(), spec.d, strands,
+                                 spec.kernel)
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +406,7 @@ def _tables_for(invariant: str, strands: int,
                 width: int) -> dict[int, tuple[int, int, list]]:
     """letter -> (shift, offset, table packed at the slot width), with the
     key deltas moved to the letter's strand pair."""
-    kernel = _BUILDERS[invariant][3]
+    kernel = _BUILDERS[invariant].kernel
     return {letter: (c.shift, c.offset, [
         kernel.pack(tuple((delta << c.shift, flat) for delta, flat in outs),
                     c.offset, width) for outs in c.table])
@@ -424,25 +417,34 @@ def _tables_for(invariant: str, strands: int,
 def _weight_monomials(invariant: str) -> tuple[list[tuple], float]:
     """The closure weight of each basis vector as a single compiled term,
     and their growth (as if they were the columns of one letter)."""
-    _, _, build_h, kernel, _ = _BUILDERS[invariant]
-    mons = [kernel.terms(v) for v in build_h().values]
+    spec = _BUILDERS[invariant]
+    mons = [spec.kernel.terms(v) for v in spec.h().values]
     if any(len(terms) != 1 for terms in mons):
         raise ValueError("closure weights must be monomials")
-    return mons, kernel.growth([[terms] for terms in mons])
+    return mons, spec.kernel.growth([[terms] for terms in mons])
 
 
 def _slot_width(invariant: str, strands: int,
                 seqs: Sequence[tuple[int, ...]]) -> int:
-    """The kernel's slot width for a walk over the given letter sequences.
+    """The slot width whose digits hold every coefficient of a total of a
+    walk over the given letter sequences.
 
-    Growth adds up along a sequence; the closure weights count as
-    strands - 1 more letters.
+    A letter scales the L1 norm of a state (over keys and exponents, the
+    kernel's norm per coefficient: |a + b*w| or |c|) by at most its column
+    norm N, and the closure weights count as strands - 1 more letters.  So
+    with unit-norm start states a total over d**(strands-1) middles has
+    coefficients z with |z| <= d**(strands-1) * prod N, and a packed
+    coordinate of z is at most 2**coordinate_bits * |z|: |a|, |b| <=
+    2/sqrt(3) * |a + b*w|, and |c| itself.  A sign bit and a guard bit come
+    on top, rounded up to a multiple of 32.
     """
-    kernel, d = _BUILDERS[invariant][3:]
+    spec = _BUILDERS[invariant]
     letters = _letters_for(invariant, strands)
     _, weights = _weight_monomials(invariant)
     growth = max(sum(letters[letter].growth for letter in seq) for seq in seqs)
-    return kernel.width(growth + (strands - 1) * weights, strands, d)
+    bits = (spec.kernel.coordinate_bits + (strands - 1) * math.log2(spec.d)
+            + (growth + (strands - 1) * weights))
+    return 32 * (int(bits + 2 + 1e-9) // 32 + 1)
 
 
 # --- the trie walk -----------------------------------------------------------
@@ -513,7 +515,7 @@ def _trace_totals(invariant: str, strands: int,
     A sequence's slot reads the keys whose live current digits equal their
     start's, weighted by the looped and the live batched digits.
     """
-    _, _, _, kernel, d = _BUILDERS[invariant]
+    kernel, d = _BUILDERS[invariant].kernel, _BUILDERS[invariant].d
     tables = _tables_for(invariant, strands, width)
     mons, _ = _weight_monomials(invariant)
     low = kernel.low(mons)
@@ -668,13 +670,12 @@ def _trace_totals(invariant: str, strands: int,
 def _finalize(invariant: str, braid: BraidWord, totals: dict,
               columns: Sequence[int], base: int, width: int):
     """Proportionality checks, then the invariant value."""
-    kernel = _BUILDERS[invariant][3]
+    kernel = _BUILDERS[invariant].kernel
     for (a, c), total in totals.items():
-        if a != c and not kernel.is_zero(total):
+        if a != c and (block := kernel.wrap(total, base, width)):
             raise ProportionalityError(
                 f"{invariant} closure operator of {braid} has a nonzero "
-                f"off-diagonal block ({a}, {c}): "
-                f"{kernel.wrap(total, base, width)}")
+                f"off-diagonal block ({a}, {c}): {block}")
     scalar = kernel.wrap(totals[(0, 0)], base, width)
     for c in columns:
         if c and kernel.wrap(totals[(c, c)], base, width) != scalar:
@@ -711,7 +712,7 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     if strands > MAX_STRANDS:
         raise ValueError(f"{invariant}: a braid on {strands} strands is above "
                          f"the bound of {MAX_STRANDS} strands")
-    kernel, d = _BUILDERS[invariant][3:]
+    kernel, d = _BUILDERS[invariant].kernel, _BUILDERS[invariant].d
     unique: dict[tuple[int, ...], BraidWord] = {}
     for b in braids:
         unique.setdefault(b.word, b)

@@ -36,7 +36,6 @@ whose residual must be exactly zero.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
@@ -49,17 +48,16 @@ from .rep import (
     LocalOperator,
     ado_cubic_coeffs,
     build_ado3_r,
-    build_ado3_r_inverse,
     build_lg_r,
-    build_lg_r_inverse,
     build_lg_r_specialized,
     build_q_operators,
     lg_cubic_coeffs,
     lg_specialized_cubic_coeffs,
     operator_one,
+    skein_variable_pair,
     tensor,
 )
-from .ring import CycScalar, LaurentPoly1, LaurentPoly2, specialize
+from .ring import CycScalar, LaurentPoly1, specialize
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,9 @@ def check_skein_lg() -> CheckResult:
 def check_yang_baxter(which: str) -> CheckResult:
     """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R) on three strands."""
     def body():
-        build_r, _, _, _, d = _BUILDERS[which]
-        r = build_r()
-        ident = LocalOperator.identity(d, operator_one(r))
+        spec = _BUILDERS[which]
+        r = spec.r()
+        ident = LocalOperator.identity(spec.d, operator_one(r))
         a = tensor(r, ident)
         b = tensor(ident, r)
         diff = a @ b @ a - b @ a @ b
@@ -144,21 +142,14 @@ def check_ishii_relation(specialized: bool = False) -> CheckResult:
     substitution t0 = t**2, t1 = w**2 t**-2.
     """
     def body():
-        if specialized:
-            # the d = 3 matrix with t0 = t**2, t1 = w**2 t**-2 in the scalars
-            r, rinv = build_ado3_r(), build_ado3_r_inverse()
-            one = LaurentPoly1.one()
-            t0 = LaurentPoly1.t_power(2)
-            t1 = LaurentPoly1.t_power(-2, CycScalar.omega_power(2))
-            ca = t0 * (one - t1)
-            cb = t1 * (t0 - one)
-        else:
-            r, rinv = build_lg_r(), build_lg_r_inverse()
-            mon = LaurentPoly2.monomial
-            ca = mon(2, 0) - mon(2, 2)
-            cb = mon(2, 2) - mon(0, 2)
-        q0, q1 = build_q_operators(r, rinv)
-        ident = LocalOperator.identity(math.isqrt(r.size), operator_one(q0))
+        spec = _BUILDERS["ado3" if specialized else "lg"]
+        r = spec.r()
+        one = operator_one(r)
+        t0, t1 = skein_variable_pair(one)
+        ca = t0 * (one - t1)
+        cb = t1 * (t0 - one)
+        q0, q1 = build_q_operators(r, spec.rinv())
+        ident = LocalOperator.identity(spec.d, one)
         q0l, q1l = tensor(q0, ident), tensor(q1, ident)
         q0r, q1r = tensor(ident, q0), tensor(ident, q1)
         res = (q0l @ q1r @ q1l).scale(ca) + (q0l @ q0r @ q1l).scale(cb)

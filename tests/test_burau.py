@@ -153,9 +153,8 @@ def perturbed_lg_r(monkeypatch):
     r = build_lg_r()
     cells = {(row, col): v for row, col, v in r.entries()}
     cells[9, 12] = -cells[9, 12]
-    _, *rest = invariant._BUILDERS["lg"]
-    monkeypatch.setitem(invariant._BUILDERS, "lg",
-                        (lambda: LocalOperator(r.size, cells), *rest))
+    monkeypatch.setitem(invariant._BUILDERS, "lg", invariant._BUILDERS["lg"]
+                        ._replace(r=lambda: LocalOperator(r.size, cells)))
     invariant._letters_for.cache_clear()
     invariant._tables_for.cache_clear()
     yield

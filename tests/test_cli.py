@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from braidinv import cli
+from braidinv import cli, invariant
+from braidinv.braid import parse_braid
+from braidinv.invariant import (
+    closure_values,
+    compute_ado3,
+    compute_lg,
+    compute_lg_specialized,
+)
+from braidinv.ring import CycScalar, LaurentPoly1
 from braidinv.verify import SweepReport
 
 
@@ -64,6 +72,58 @@ class TestCompute:
                          "--file", str(path))
         assert rc == 0
         assert out == TREFOIL_ADO + "\n(1)\n"
+
+    def test_file_walks_each_strand_count_once(self, capsys, tmp_path,
+                                              monkeypatch):
+        # interleaved strand counts and a repeated braid: one closure_values
+        # call per strand count, in order of first appearance, and the
+        # values in input order
+        texts = ["{3,{1,-2,1}}", "{2,{1,1,1}}", "{4,{3,-2,1,2}}", "{3,{2,2}}",
+                 "{2,{1,1,1}}", "{4,{1,-3,-3}}", "{2,{-1}}"]
+        path = tmp_path / "mixed.txt"
+        path.write_text("\n".join(texts) + "\n")
+        calls = []
+
+        def spy(inv, braids, **kwargs):
+            calls.append([b.strands for b in braids])
+            return closure_values(inv, braids, **kwargs)
+
+        monkeypatch.setattr(cli, "closure_values", spy)
+        for inv, compute in (("ado3", compute_ado3), ("lg", compute_lg),
+                             ("lg-spec", compute_lg_specialized)):
+            rc, out, _ = run(capsys, "compute", "--invariant", inv,
+                             "--file", str(path))
+            assert rc == 0
+            assert out == "".join(f"{compute(parse_braid(t)).value}\n"
+                                  for t in texts)
+            assert calls == [[3, 3], [2, 2, 2], [4, 4]]
+            calls.clear()
+
+    def test_file_above_the_strand_bound_prints_nothing(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "braids.txt"
+        path.write_text("{2,{1,1,1}}\n{1,{}}\n{9,{1}}\n{2,{1}}\n")
+        rc, out, err = run(capsys, "compute", "--invariant", "ado3",
+                           "--file", str(path))
+        assert (rc, out) == (2, "")
+        assert "9 strands" in err and "bound of 8 strands" in err
+
+    def test_paranoid_failure_prints_nothing(self, capsys, tmp_path,
+                                             monkeypatch):
+        # wrong closure weights keep the off-diagonal blocks zero, so only
+        # the paranoid diagonal comparison catches them; the one-strand
+        # braid, which has no middle, is right and is still not printed
+        bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
+               LaurentPoly1.t_power(2, -CycScalar.omega()))
+        kernel = invariant._BUILDERS["ado3"].kernel
+        monkeypatch.setattr(invariant, "_weight_monomials",
+                            lambda inv: ([kernel.terms(v) for v in bad], 0.0))
+        path = tmp_path / "braids.txt"
+        path.write_text("{1,{}}\n{2,{1}}\n")
+        rc, out, err = run(capsys, "compute", "--invariant", "ado3",
+                           "--paranoid", "--file", str(path))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and "{2,{1}}" in err
 
     def test_missing_file(self, capsys, tmp_path):
         rc, out, err = run(capsys, "compute", "--invariant", "ado3",

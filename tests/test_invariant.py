@@ -129,11 +129,11 @@ def _key(index):
 
 def _basis(inv, index):
     """The raw basis state of a multi-index, amplitude 1, and its base."""
-    return {_key(index): _BUILDERS[inv][3].one()}, 0
+    return {_key(index): _BUILDERS[inv].kernel.one()}, 0
 
 
 def _evolve(inv, strands, word, state, width=WIDTH):
-    kernel = _BUILDERS[inv][3]
+    kernel = _BUILDERS[inv].kernel
     tables = _tables_for(inv, strands, width)
     state, base = state
     for letter in word:
@@ -145,7 +145,7 @@ def _evolve(inv, strands, word, state, width=WIDTH):
 
 def _amplitudes(inv, strands, state):
     """Unpacked {multi-index: ring element} view of a raw state."""
-    kernel = _BUILDERS[inv][3]
+    kernel = _BUILDERS[inv].kernel
     state, base = state
     return {tuple((key >> (2 * s)) & 3 for s in range(strands)):
             kernel.wrap(amp, base, WIDTH) for key, amp in state.items()}
@@ -268,8 +268,9 @@ def _reference_blocks(inv, strands, seq, width):
     """{(a, c): O[a, c]} of a word, one basis state (c, m) per column c and
     middle multi-index m, each evolved alone and weighted in the ring by
     the closure weights of m."""
-    _, _, build_h, kernel, d = _BUILDERS[inv]
-    h = build_h().values
+    spec = _BUILDERS[inv]
+    kernel, d = spec.kernel, spec.d
+    h = spec.h().values
     ring = type(h[0])
     blocks = {(a, c): ring.zero() for a in range(d) for c in range(d)}
     for m in product(range(d), repeat=strands - 1):
@@ -325,7 +326,7 @@ class TestBatchedWalk:
         # prefix walk it as a chain, one start at a time, up to the drop
         # where it ends (with and without a word that ends there too); a
         # lone word is a chain from the root
-        kernel, d = _BUILDERS[inv][3:]
+        kernel, d = _BUILDERS[inv].kernel, _BUILDERS[inv].d
         columns = range(d)
         groups = dict(self.GROUPS)
         for b in LONE_WORDS:
@@ -382,7 +383,7 @@ class TestPartialTrace:
         # grading), so only the paranoid diagonal comparison can catch it
         bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
                LaurentPoly1.t_power(2, -W))
-        kernel = _BUILDERS["ado3"][3]
+        kernel = _BUILDERS["ado3"].kernel
         monkeypatch.setattr(invariant, "_weight_monomials",
                             lambda inv: ([kernel.terms(v) for v in bad], 0.0))
         b = parse_braid("{2,{1}}")
@@ -392,7 +393,7 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
     def test_nonzero_off_diagonal_block_raises(self, inv):
-        kernel, d = _BUILDERS[inv][3:]
+        kernel, d = _BUILDERS[inv].kernel, _BUILDERS[inv].d
         totals = {(a, 0): kernel.zero() for a in range(d)}
         totals[0, 0] = kernel.one()
         assert invariant._finalize(inv, TREFOIL, totals, (0,), 0, WIDTH) == \
@@ -408,7 +409,7 @@ class TestPartialTrace:
         # weights where the reach drops, not at the slots
         words = [BraidWord(4, (3, -2, 3) + tail)
                  for tail in ((1,), (1, 1, 1), (-1, 1, 1))]
-        kernel = _BUILDERS["ado3"][3]
+        kernel = _BUILDERS["ado3"].kernel
         assert _looped(kernel, 4) == 1
         good = closure_values("ado3", words, paranoid=True)
         bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
@@ -464,7 +465,7 @@ class TestPacking:
     def test_round_trip(self, inv):
         # extreme digits at negative exponents decode; one more is in the
         # guard band
-        kernel = _BUILDERS[inv][3]
+        kernel = _BUILDERS[inv].kernel
         top = 2 ** (WIDTH - 2) - 1
         if inv == "lg":
             poly = LaurentPoly2({(-3, -7): top, (-3, -2): -top, (-1, -7): 1,
@@ -518,9 +519,8 @@ def y_gauge_lg(monkeypatch):
         LaurentPoly2.monomial(1, 1, -1) * GENERIC_MODULUS
     assert other.get(12, 9) == LaurentPoly2.one()
     other_inv = invert_r(other, lg_cubic_coeffs())
-    _, _, *rest = invariant._BUILDERS["lg"]
-    monkeypatch.setitem(invariant._BUILDERS, "lg",
-                        (lambda: other, lambda: other_inv, *rest))
+    monkeypatch.setitem(invariant._BUILDERS, "lg", invariant._BUILDERS["lg"]
+                        ._replace(r=lambda: other, rinv=lambda: other_inv))
     invariant._letters_for.cache_clear()
     invariant._tables_for.cache_clear()
     yield
