@@ -1,8 +1,10 @@
 """Command-line front end: compute invariants, run verification suites.
 
-``compute`` makes one ``invariant.closure_values`` call per strand count of
-its braids, so a file of related words shares its trie walk as a sweep
-family does, and prints the values in input order once every walk is done.
+``compute`` makes one ``invariant.closure_values`` call over all its braids,
+so a file of related words shares its trie walk as a sweep family does (one
+walk per strand count), and prints the values in input order once every walk
+is done.  A braid above the strand bound is refused, and named, before any
+walk starts.
 Its ``--invariant`` choices are the engine's table, ``invariant._BUILDERS``.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
@@ -54,18 +56,8 @@ def cmd_compute(args) -> int:
                 braids = list(read_braid_list(fh))
     except (ValueError, OSError) as exc:
         return _error(exc)
-    # strand count -> the positions of its braids, in order of appearance
-    groups: dict[int, list[int]] = {}
-    for pos, b in enumerate(braids):
-        groups.setdefault(b.strands, []).append(pos)
-    values: list = [None] * len(braids)
     try:
-        for positions in groups.values():
-            group = closure_values(args.invariant,
-                                   [braids[pos] for pos in positions],
-                                   paranoid=args.paranoid)
-            for pos, value in zip(positions, group):
-                values[pos] = value
+        values = closure_values(args.invariant, braids, paranoid=args.paranoid)
     except ProportionalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,10 +35,12 @@ go one at a time, so the batched state is only built once the drop has
 shrunk it.
 
 States are sparse maps from packed keys to amplitudes: strand s contributes
-two bits at position 2(s-1) (both representations have d <= 4).  Per letter
-and strand pair the R-matrix column is precompiled to (key delta, coefficient
-terms) lists, so the hot loop is pure integer and dict work.  Two amplitude
-kernels cover the rings involved:
+two bits at position 2(s-1) (both representations have d <= 4).  R and
+R**-1 are compiled once per invariant (``compile_letter_tables``), and per
+strand count and slot width each letter's columns are packed as (key delta,
+coefficient terms) lists on its strand pair (``_tables_for``), so the hot
+loop is pure integer and dict work.  Two amplitude kernels cover the rings
+involved:
 
 * Laurent polynomials over Z[w], Kronecker-packed: sum_k (a_k + b_k w)
   t**(base + k) is the int pair (A, B) = (sum_k a_k x**k, sum_k b_k x**k) at
@@ -68,9 +70,10 @@ width W is fixed once per walk from a bound on the totals' coefficients,
 proved at ``_slot_width``.  Decoding raises if a digit lands in the guard
 band.
 
-``closure_values`` is the entry point: the braids of one strand count in one
-walk.  The equality sweep calls it per family, its audit and ``braidinv
-compute`` per strand count, and the ``compute_*`` functions with one braid.
+``closure_values`` is the entry point: braids of any strand counts, one walk
+per strand count, the values in input order.  The equality sweep calls it
+per family, its audit and ``braidinv compute`` once over all their braids,
+and the ``compute_*`` functions with one braid.
 ``_BUILDERS`` is the one table of the invariants and what they are built of.
 """
 
@@ -153,12 +156,12 @@ def _digits(x: int, width: int) -> list[int]:
 #
 # A kernel compiles ring elements (``terms``) and tables (``low``, ``growth``,
 # ``pack``), evolves states (``apply``) and sums weighted amplitudes
-# (``weight``, ``accumulate``, ``add``) into totals it decodes (``wrap``).
-# Callers keep what ``accumulate`` and ``add`` return: packed totals are ints
-# and cannot be updated in place.  ``batched`` is how many top strands' middle
-# digits one walk of a shared trie carries (see ``_looped``), and
-# ``coordinate_bits`` what a packed coordinate of a coefficient can exceed
-# the coefficient's norm by (see ``_slot_width``).
+# (``weight``, ``accumulate``) into totals it decodes (``wrap``).  Callers
+# keep what ``accumulate`` returns: packed totals are ints and cannot be
+# updated in place.  ``batched`` is how many top strands' middle digits one
+# walk of a shared trie carries (see ``_looped``), and ``coordinate_bits``
+# what a packed coordinate of a coefficient can exceed the coefficient's norm
+# by (see ``_slot_width``).
 
 class _CycKernel:
     """Packed Z[w][t**±1] amplitudes (A, B): the colored Alexander and the
@@ -224,9 +227,6 @@ class _CycKernel:
         big_a, big_b = src
         return (dst[0] + ((big_a * a - big_b * b) << s),
                 dst[1] + ((big_a * b + big_b * ab) << s))
-
-    def add(self, dst: tuple, src: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(dst, src))
 
     def wrap(self, total: tuple, base: int, width: int) -> LaurentPoly1:
         """(A, B) with t**(base + k) in slot k -> LaurentPoly1."""
@@ -322,11 +322,6 @@ class _RowKernel:
                 dst[r] = get(r, 0) + x * p
         return dst
 
-    def add(self, dst: dict, src: dict) -> dict:
-        for r, x in src.items():
-            dst[r] = dst.get(r, 0) + x
-        return dst
-
     def wrap(self, total: dict, base: int, width: int) -> LaurentPoly2:
         return LaurentPoly2({(e0, base + k): c for e0, x in total.items()
                              for k, c in enumerate(_digits(x, width))})
@@ -334,17 +329,10 @@ class _RowKernel:
 
 # --- operator compilation ---------------------------------------------------
 
-class _Letter(NamedTuple):
-    """One braid letter, compiled for a kernel but not yet packed."""
-
-    shift: int          # bit position of the strand pair it acts on
-    offset: int         # least exponent in its table
-    growth: float       # what one application can add (kernel ``growth``)
-    table: list         # pattern -> ((pattern delta, flat polynomial), ...)
-
-
-def _compile_letter(op: LocalOperator, d: int, kernel) -> _Letter:
-    """Per pair-bit-pattern outputs of a local operator, at shift 0."""
+def _compile_letter(op: LocalOperator, d: int, kernel) -> tuple:
+    """(offset, growth, table) of a local operator: its least exponent, what
+    one application can add (kernel ``growth``) and its per pair-bit-pattern
+    outputs ((pattern delta, flat polynomial), ...), on strands 1 and 2."""
     cols = op.columns()
     table: list[tuple] = [() for _ in range(16)]
     for pb in range(16):
@@ -360,16 +348,14 @@ def _compile_letter(op: LocalOperator, d: int, kernel) -> _Letter:
         table[pb] = tuple(outs)
     columns = [[flat for _, flat in outs] for outs in table if outs]
     offset = kernel.low(flat for col in columns for flat in col)
-    return _Letter(0, offset, kernel.growth(columns), table)
+    return offset, kernel.growth(columns), table
 
 
 def compile_letter_tables(r: LocalOperator, rinv: LocalOperator, d: int,
-                          strands: int, kernel) -> dict[int, _Letter]:
-    """letter -> compiled table for every letter valid on n strands; letter
-    k acts on the strand pair at bit 2(k - 1)."""
-    ops = {1: _compile_letter(r, d, kernel), -1: _compile_letter(rinv, d, kernel)}
-    return {sign * k: ops[sign]._replace(shift=2 * (k - 1))
-            for k in range(1, strands) for sign in (1, -1)}
+                          kernel) -> tuple[tuple, tuple]:
+    """The compiled R and R**-1, which every positive and every negative
+    letter apply, whatever the strand count: index them by letter < 0."""
+    return _compile_letter(r, d, kernel), _compile_letter(rinv, d, kernel)
 
 
 class _Builders(NamedTuple):
@@ -395,22 +381,26 @@ _BUILDERS = {
 
 
 @lru_cache(maxsize=None)
-def _letters_for(invariant: str, strands: int) -> dict[int, _Letter]:
+def _letters_for(invariant: str) -> tuple[tuple, tuple]:
     spec = _BUILDERS[invariant]
-    return compile_letter_tables(spec.r(), spec.rinv(), spec.d, strands,
-                                 spec.kernel)
+    return compile_letter_tables(spec.r(), spec.rinv(), spec.d, spec.kernel)
 
 
 @lru_cache(maxsize=None)
 def _tables_for(invariant: str, strands: int,
                 width: int) -> dict[int, tuple[int, int, list]]:
-    """letter -> (shift, offset, table packed at the slot width), with the
-    key deltas moved to the letter's strand pair."""
+    """letter -> (shift, offset, table packed at the slot width) for every
+    letter valid on n strands, with the key deltas moved to the letter's
+    strand pair: letter k acts on the pair at bit 2(k - 1)."""
     kernel = _BUILDERS[invariant].kernel
-    return {letter: (c.shift, c.offset, [
-        kernel.pack(tuple((delta << c.shift, flat) for delta, flat in outs),
-                    c.offset, width) for outs in c.table])
-            for letter, c in _letters_for(invariant, strands).items()}
+    tables = {}
+    for k in range(1, strands):
+        shift = 2 * (k - 1)
+        for sign, (offset, _, table) in zip((1, -1), _letters_for(invariant)):
+            tables[sign * k] = (shift, offset, [kernel.pack(tuple(
+                (delta << shift, flat) for delta, flat in outs), offset, width)
+                for outs in table])
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -439,9 +429,9 @@ def _slot_width(invariant: str, strands: int,
     on top, rounded up to a multiple of 32.
     """
     spec = _BUILDERS[invariant]
-    letters = _letters_for(invariant, strands)
+    letters = _letters_for(invariant)
     _, weights = _weight_monomials(invariant)
-    growth = max(sum(letters[letter].growth for letter in seq) for seq in seqs)
+    growth = max(sum(letters[letter < 0][1] for letter in seq) for seq in seqs)
     bits = (spec.kernel.coordinate_bits + (strands - 1) * math.log2(spec.d)
             + (growth + (strands - 1) * weights))
     return 32 * (int(bits + 2 + 1e-9) // 32 + 1)
@@ -695,45 +685,50 @@ MAX_STRANDS = 8
 
 def closure_values(invariant: str, braids: Sequence[BraidWord], *,
                    paranoid: bool = False, pool=None, jobs: int = 1) -> list:
-    """Exact invariant values of the closures of braids on one strand count,
-    at most ``MAX_STRANDS``.
+    """Exact invariant values of the closures of braids on any strand counts
+    up to ``MAX_STRANDS``, in input order.
 
-    All braids go through one trie walk, with one slot width.  With a pool
-    and jobs > 1 the values of the looped middle digits are split into
-    ``jobs`` chunks whose raw totals are summed; every chunk walks the same
-    trie, so a sequence has the same base in each and its totals add slot by
-    slot.
+    Every braid is checked against the bound before the first walk, and the
+    error names the first one above it.  The braids of each strand count, in
+    order of first appearance, then go through one trie walk with one slot
+    width.  With a pool and jobs > 1 the values of a walk's looped middle
+    digits are split into ``jobs`` chunks whose raw totals are summed; every
+    chunk walks the same trie, so a sequence has the same base in each and
+    its totals add slot by slot.
     """
-    if not braids:
-        return []
-    strands = braids[0].strands
-    if any(b.strands != strands for b in braids):
-        raise ValueError("braids of one trace must share a strand count")
-    if strands > MAX_STRANDS:
-        raise ValueError(f"{invariant}: a braid on {strands} strands is above "
-                         f"the bound of {MAX_STRANDS} strands")
-    kernel, d = _BUILDERS[invariant].kernel, _BUILDERS[invariant].d
-    unique: dict[tuple[int, ...], BraidWord] = {}
     for b in braids:
-        unique.setdefault(b.word, b)
-    seqs = list(unique)
-    width = _slot_width(invariant, strands, seqs)
+        if b.strands > MAX_STRANDS:
+            raise ValueError(f"{invariant}: {b} is a braid on {b.strands} "
+                             f"strands, above the bound of {MAX_STRANDS} "
+                             f"strands")
+    kernel, d = _BUILDERS[invariant].kernel, _BUILDERS[invariant].d
     columns = tuple(range(d)) if paranoid else (0,)
-    if pool is not None and jobs > 1:
-        parts = min(jobs, d ** _looped(kernel, strands))
-        chunks = pool.starmap(_trace_totals, [
-            (invariant, strands, seqs, columns, width, i, parts)
-            for i in range(parts)])
-        bases, totals = chunks[0]
-        for _, chunk in chunks[1:]:
-            for dst, src in zip(totals, chunk):
-                for ac, total in src.items():
-                    dst[ac] = kernel.add(dst[ac], total)
-    else:
-        bases, totals = _trace_totals(invariant, strands, seqs, columns, width)
-    value_of = {word: _finalize(invariant, b, total, columns, base, width)
-                for (word, b), base, total in zip(unique.items(), bases, totals)}
-    return [value_of[b.word] for b in braids]
+    # strand count -> letter sequence -> its first braid
+    groups: dict[int, dict[tuple[int, ...], BraidWord]] = {}
+    for b in braids:
+        groups.setdefault(b.strands, {}).setdefault(b.word, b)
+    value_of = {}
+    for strands, unique in groups.items():
+        seqs = list(unique)
+        width = _slot_width(invariant, strands, seqs)
+        if pool is not None and jobs > 1:
+            parts = min(jobs, d ** _looped(kernel, strands))
+            chunks = pool.starmap(_trace_totals, [
+                (invariant, strands, seqs, columns, width, i, parts)
+                for i in range(parts)])
+            bases, totals = chunks[0]
+            one = kernel.weight((), (), 0, width)   # the empty product
+            for _, chunk in chunks[1:]:
+                for dst, src in zip(totals, chunk):
+                    for ac, total in src.items():
+                        dst[ac] = kernel.accumulate(dst[ac], total, one)
+        else:
+            bases, totals = _trace_totals(invariant, strands, seqs, columns,
+                                          width)
+        for b, base, total in zip(unique.values(), bases, totals):
+            value_of[strands, b.word] = _finalize(invariant, b, total, columns,
+                                                  base, width)
+    return [value_of[b.strands, b.word] for b in braids]
 
 
 def _compute(invariant: str, b: BraidWord, paranoid: bool) -> InvariantValue:

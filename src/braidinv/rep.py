@@ -116,10 +116,7 @@ class LocalOperator:
         return LocalOperator(self.size, out)
 
     def __sub__(self, other: "LocalOperator") -> "LocalOperator":
-        return self + other.scale_neg()
-
-    def scale_neg(self) -> "LocalOperator":
-        return LocalOperator(self.size, {rc: -v for rc, v in self._entries.items()})
+        return self + other.scale(-1)
 
     def scale(self, factor) -> "LocalOperator":
         return LocalOperator(self.size,
@@ -383,13 +380,14 @@ def skein_variable_pair(sample) -> tuple:
     """(t0, t1) read in the coefficient ring of the given specimen element.
 
     Two-variable rings carry t0, t1 themselves; the one-variable ring sees
-    them through the specialization t0 = t**2, t1 = w**2 t**-2.
+    them through the specialization t0 = t**2, t1 = w**2 t**-2
+    (``ring.specialize``).
     """
+    t0, t1 = _p2(2, 0), _p2(0, 2)
     if isinstance(sample, LaurentPoly2):
-        return _p2(2, 0), _p2(0, 2)
+        return t0, t1
     if isinstance(sample, LaurentPoly1):
-        return (LaurentPoly1.t_power(2),
-                LaurentPoly1.t_power(-2, CycScalar.omega_power(2)))
+        return specialize(t0), specialize(t1)
     raise TypeError(f"unsupported ring element {type(sample).__name__}")
 
 

@@ -218,10 +218,6 @@ class LaurentPoly1:
     def t_power(cls, k: int, c: CoeffLike = 1) -> "LaurentPoly1":
         return cls({k: c})
 
-    def coeff(self, k: int) -> CycScalar:
-        a, b = self._terms.get(k, (0, 0))
-        return CycScalar(a, b)
-
     def items(self) -> Iterator[tuple[int, CycScalar]]:
         for k in sorted(self._terms):
             a, b = self._terms[k]
@@ -401,9 +397,6 @@ class LaurentPoly2:
     @classmethod
     def monomial(cls, e0: int, e1: int, c: int = 1) -> "LaurentPoly2":
         return cls({(e0, e1): c})
-
-    def coeff(self, e0: int, e1: int) -> int:
-        return self._terms.get((e0, e1), 0)
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         for key in sorted(self._terms):

@@ -24,9 +24,10 @@ own closure weights; with the specialized one it shares the gauged R-matrix
 with both one-variable kernels the Kronecker digit decoding
 (``invariant._digits``) and the slot-width argument.  The Burau test and the
 dense oracle of the tests stay the checks that share no engine code.  The
-sampled words of each strand count go through one trie walk, so they share
-prefixes and freezing like a family does, and the audit's time is reported
-under ``timing["audit"]`` and at the end of its progress line.
+sampled words go through one ``closure_values`` call, one trie walk per
+strand count, so they share prefixes and freezing like a family does, and
+the audit's time is reported under ``timing["audit"]`` and at the end of its
+progress line.
 
 Identity checks (cubic relations, Yang-Baxter, the two-parameter relation of
 the denominator-cleared skein operators) are direct sparse-matrix computations
@@ -247,7 +248,7 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
     ".lg-spec"]`` next to the family's ``timing[family]``.  A
     deterministic subset of the input (every round(1/audit_fraction)-th word,
     by position) is audited by the generic two-variable computation followed
-    by specialization: one generic trie walk per strand count, timed under
+    by specialization: one generic ``closure_values`` call, timed under
     ``timing["audit"]``.
     """
     report = SweepReport(paranoid=paranoid)
@@ -293,17 +294,14 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
         report.entries = [entries[pos] for pos in sorted(entries)]
         if report.audit_every:
             t_audit = time.perf_counter()
-            by_strands: dict[int, list[SweepEntry]] = {}
-            for entry in report.entries[::report.audit_every]:
+            audited = report.entries[::report.audit_every]
+            generic = closure_values("lg", [e.braid for e in audited],
+                                     pool=pool, jobs=jobs)
+            for entry in audited:
                 entry.audited = True
-                by_strands.setdefault(entry.braid.strands, []).append(entry)
-            for group in by_strands.values():
-                generic = closure_values("lg", [e.braid for e in group],
-                                         pool=pool, jobs=jobs)
-                report.audit_checked += len(group)
-                report.audit_failures += sum(
-                    specialize(g) != e.lg_specialized
-                    for g, e in zip(generic, group))
+            report.audit_checked = len(audited)
+            report.audit_failures = sum(specialize(g) != e.lg_specialized
+                                        for g, e in zip(generic, audited))
             report.timing["audit"] = time.perf_counter() - t_audit
             if progress:
                 progress(f"audit: {report.audit_checked} generic recomputations, "

@@ -112,19 +112,6 @@ NAMED = {
 }
 
 
-def _lg_values(braids: list) -> list:
-    """Generic LG values, one trie walk per strand count."""
-    by_strands: dict = {}
-    for pos, b in enumerate(braids):
-        by_strands.setdefault(b.strands, []).append(pos)
-    values = [None] * len(braids)
-    for positions in by_strands.values():
-        got = closure_values("lg", [braids[p] for p in positions])
-        for p, v in zip(positions, got):
-            values[p] = v
-    return values
-
-
 def test_named_knots_exact():
     # with this package's conventions the identity needs no unit factor
     for text, delta in NAMED.items():
@@ -141,7 +128,7 @@ def test_named_knots_exact():
 
 def test_random_knots_against_burau():
     braids = [parse_braid(text) for text in NAMED] + random_knots(500)
-    bad = [b.format() for b, v in zip(braids, _lg_values(braids))
+    bad = [b.format() for b, v in zip(braids, closure_values("lg", braids))
            if not agrees(b, v)]
     assert not bad, bad[:5]
 
@@ -164,5 +151,6 @@ def perturbed_lg_r(monkeypatch):
 
 def test_perturbed_cell_fails_the_check(perturbed_lg_r):
     braids = [parse_braid(text) for text in NAMED] + random_knots(100)
-    bad = [b for b, v in zip(braids, _lg_values(braids)) if not agrees(b, v)]
+    bad = [b for b, v in zip(braids, closure_values("lg", braids))
+           if not agrees(b, v)]
     assert len(bad) > len(braids) // 2

@@ -7,7 +7,6 @@ import pytest
 from braidinv import cli, invariant
 from braidinv.braid import parse_braid
 from braidinv.invariant import (
-    closure_values,
     compute_ado3,
     compute_lg,
     compute_lg_specialized,
@@ -75,38 +74,49 @@ class TestCompute:
 
     def test_file_walks_each_strand_count_once(self, capsys, tmp_path,
                                               monkeypatch):
-        # interleaved strand counts and a repeated braid: one closure_values
-        # call per strand count, in order of first appearance, and the
-        # values in input order
+        # interleaved strand counts and a repeated braid: one walk per
+        # strand count, in order of first appearance, over its distinct
+        # letter sequences, and the values in input order
         texts = ["{3,{1,-2,1}}", "{2,{1,1,1}}", "{4,{3,-2,1,2}}", "{3,{2,2}}",
                  "{2,{1,1,1}}", "{4,{1,-3,-3}}", "{2,{-1}}"]
         path = tmp_path / "mixed.txt"
         path.write_text("\n".join(texts) + "\n")
-        calls = []
+        expected = {inv: "".join(f"{compute(parse_braid(t)).value}\n"
+                                 for t in texts)
+                    for inv, compute in (("ado3", compute_ado3),
+                                         ("lg", compute_lg),
+                                         ("lg-spec", compute_lg_specialized))}
+        walks = []
+        trace_totals = invariant._trace_totals
 
-        def spy(inv, braids, **kwargs):
-            calls.append([b.strands for b in braids])
-            return closure_values(inv, braids, **kwargs)
+        def spy(inv, strands, seqs, *args):
+            walks.append((strands, seqs))
+            return trace_totals(inv, strands, seqs, *args)
 
-        monkeypatch.setattr(cli, "closure_values", spy)
-        for inv, compute in (("ado3", compute_ado3), ("lg", compute_lg),
-                             ("lg-spec", compute_lg_specialized)):
-            rc, out, _ = run(capsys, "compute", "--invariant", inv,
-                             "--file", str(path))
-            assert rc == 0
-            assert out == "".join(f"{compute(parse_braid(t)).value}\n"
-                                  for t in texts)
-            assert calls == [[3, 3], [2, 2, 2], [4, 4]]
-            calls.clear()
+        monkeypatch.setattr(invariant, "_trace_totals", spy)
+        for inv, out in expected.items():
+            assert run(capsys, "compute", "--invariant", inv,
+                       "--file", str(path))[:2] == (0, out)
+            assert walks == [(3, [(1, -2, 1), (2, 2)]),
+                             (2, [(1, 1, 1), (-1,)]),
+                             (4, [(3, -2, 1, 2), (1, -3, -3)])]
+            walks.clear()
 
     def test_file_above_the_strand_bound_prints_nothing(self, capsys,
-                                                        tmp_path):
+                                                        tmp_path, monkeypatch):
+        # the bound is checked before the first walk, and the error names
+        # the braid
         path = tmp_path / "braids.txt"
         path.write_text("{2,{1,1,1}}\n{1,{}}\n{9,{1}}\n{2,{1}}\n")
+        walks = []
+        monkeypatch.setattr(invariant, "_trace_totals",
+                            lambda *args: walks.append(args))
         rc, out, err = run(capsys, "compute", "--invariant", "ado3",
                            "--file", str(path))
         assert (rc, out) == (2, "")
+        assert "{9,{1}}" in err
         assert "9 strands" in err and "bound of 8 strands" in err
+        assert not walks
 
     def test_paranoid_failure_prints_nothing(self, capsys, tmp_path,
                                              monkeypatch):

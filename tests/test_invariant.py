@@ -194,9 +194,20 @@ class TestStates:
             assert _amplitudes("lg", 3, _evolve("lg", 3, (1, 2, 1), s)) == \
                 _amplitudes("lg", 3, _evolve("lg", 3, (2, 1, 2), s))
 
-    def test_strand_count_mismatch(self):
-        with pytest.raises(ValueError):
-            closure_values("ado3", [BraidWord(2, (1,)), BraidWord(3, (1,))])
+    @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
+    def test_mixed_strand_counts(self, inv):
+        # one call over interleaved strand counts, repeated braids and one
+        # letter sequence on three strand counts: the values of the braids
+        # alone, in input order, serially and through a pool split
+        braids = [BraidWord(n, w) for n, w in (
+            (3, (1, -2, 1)), (2, (1,)), (5, (4, -3, 2, -1)), (4, (1,)),
+            (2, (1, 1, 1)), (3, (1,)), (5, (2, 2)), (4, (3, -2, 1, 2)),
+            (2, (1,)), (3, (1, -2, 1)), (5, (4, -3, 2, -1)))]
+        alone = [closure_values(inv, [b])[0] for b in braids]
+        assert alone[1] != alone[3]         # the same word, other values
+        assert closure_values(inv, braids) == alone
+        assert closure_values(inv, braids, jobs=2, pool=_SerialPool()) == \
+            alone
 
 
 def _reaches(seq):
@@ -363,10 +374,8 @@ class TestBatchedWalk:
     def test_ado3_against_oracle(self):
         words = self.GROUPS[3] + [BraidWord(2, w) for w in
                                   ((), (1,), (1, 1, 1), (-1, 1, -1))]
-        for n in (2, 3):
-            group = [b for b in words if b.strands == n]
-            assert closure_values("ado3", group) == \
-                [ado3_reference(b) for b in group]
+        assert closure_values("ado3", words) == \
+            [ado3_reference(b) for b in words]
 
 
 class TestPartialTrace:
@@ -429,8 +438,26 @@ class TestPacking:
         # the largest column of R and of R**-1 sums to 7 in absolute value
         # for lg, and to 6 in |a + b w| for lg-spec
         for inv, norm in (("lg", 7), ("lg-spec", 6)):
-            letters = _letters_for(inv, 5)
-            assert letters[1].growth == letters[-1].growth == math.log2(norm)
+            (_, r_growth, _), (_, rinv_growth, _) = _letters_for(inv)
+            assert r_growth == rinv_growth == math.log2(norm)
+
+    def test_one_compile_per_invariant(self, monkeypatch):
+        # R and R**-1 are compiled once per invariant; only the packing of
+        # their tables depends on the strand count
+        compiled = []
+        compile_tables = invariant.compile_letter_tables
+
+        def spy(r, rinv, d, kernel):
+            compiled.append(d)
+            return compile_tables(r, rinv, d, kernel)
+
+        monkeypatch.setattr(invariant, "compile_letter_tables", spy)
+        invariant._letters_for.cache_clear()
+        invariant._tables_for.cache_clear()
+        for inv in ("ado3", "lg-spec", "lg"):
+            closure_values(inv, [BraidWord(n, tuple(range(1, n)))
+                                 for n in (2, 5, 3, 4)], paranoid=True)
+        assert compiled == [3, 4, 4]
 
     def test_sweep_words_fit_64_bit_slots(self):
         # a 20-letter Type8 word and a 17-letter audit word of the
@@ -546,7 +573,8 @@ class TestGauge:
         words = _gauge_words()
         ours = [compute_lg(b, paranoid=True).value for b in words]
         request.getfixturevalue("y_gauge_lg")
-        assert _letters_for("lg", 2)[1].growth == math.log2(13)
+        (_, r_growth, _), _ = _letters_for("lg")
+        assert r_growth == math.log2(13)
         theirs = [compute_lg(b, paranoid=True).value for b in words]
         assert ours == theirs
 
