@@ -98,7 +98,7 @@ def _suite_words(suite: str):
 
 
 def cmd_verify(args, words) -> int:
-    if words is None or not args.report:
+    if not args.report:
         return _run_verify(args, words, None)
     # opened before the sweep, so that a bad path fails at once
     try:
@@ -204,6 +204,9 @@ def main(argv=None) -> int:
             words = _suite_words(args.suite)
         except ValueError as exc:
             parser.error(str(exc))
+        if words is None and args.report:
+            parser.error(f"--report needs a sweep, and --suite {args.suite} "
+                         f"runs none")
         if args.jobs is None:
             args.jobs = os.cpu_count() or 1
         if args.jobs < 1:

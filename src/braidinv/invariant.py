@@ -26,13 +26,14 @@ into the live digits m_low and the frozen ones m_high,
     psi(c, m_low) = sum_m_high  h(m_high) * <m_high | phi_1 | (c, m)>.
 
 So one walk carries the middle digits of the top strands at once: a state
-key holds its start's digits next to its current ones, and at a drop a key
-survives only if its frozen current digits equal its start's, takes their
-weight and merges with the keys that differed only there.  The digits of
-the lower strands are looped outside the walk, which bounds a state's size
-(``_looped``), and down a single-child chain that leads to a drop the starts
-go one at a time, so the batched state is only built once the drop has
-shrunk it.
+key holds its start's digits next to its current ones, and a start's
+amplitude begins as the weight h of its digits.  At a drop a key survives
+only if its frozen current digits equal its start's, and adds up with the
+keys that differed only there, so the drop is a plain partial trace.  The
+digits of the lower strands are looped outside the walk, which bounds a
+state's size (``_looped``), and their weight is taken at the slot reads.
+Down a single-child chain that leads to a drop the starts go one at a time,
+so the batched state is only built once the drop has shrunk it.
 
 States are sparse maps from packed keys to amplitudes: strand s contributes
 two bits at position 2(s-1) (both representations have d <= 4).  R and
@@ -89,7 +90,6 @@ from .braid import BraidWord
 from .rep import (
     ADO_DIM,
     LG_DIM,
-    DiagonalOperator,
     LocalOperator,
     build_ado3_h,
     build_ado3_r,
@@ -158,7 +158,10 @@ def _digits(x: int, width: int) -> list[int]:
 # ``pack``), evolves states (``apply``) and sums weighted amplitudes
 # (``weight``, ``accumulate``) into totals it decodes (``wrap``).  Callers
 # keep what ``accumulate`` returns: packed totals are ints and cannot be
-# updated in place.  ``batched`` is how many top strands' middle digits one
+# updated in place.  ``_RowKernel.accumulate`` does update ``dst`` in place,
+# so the trace's ``freeze`` may add into a state's own amplitude only
+# because each walk builds its start amplitudes fresh and ``apply`` returns
+# new ones.  ``batched`` is how many top strands' middle digits one
 # walk of a shared trie carries (see ``_looped``), and ``coordinate_bits``
 # what a packed coordinate of a coefficient can exceed the coefficient's norm
 # by (see ``_slot_width``).
@@ -364,7 +367,7 @@ class _Builders(NamedTuple):
 
     r: Callable[[], LocalOperator]
     rinv: Callable[[], LocalOperator]
-    h: Callable[[], DiagonalOperator]
+    h: Callable[[], tuple]
     kernel: _CycKernel | _RowKernel
     d: int
 
@@ -408,7 +411,7 @@ def _weight_monomials(invariant: str) -> tuple[list[tuple], float]:
     """The closure weight of each basis vector as a single compiled term,
     and their growth (as if they were the columns of one letter)."""
     spec = _BUILDERS[invariant]
-    mons = [spec.kernel.terms(v) for v in spec.h().values]
+    mons = [spec.kernel.terms(v) for v in spec.h()]
     if any(len(terms) != 1 for terms in mons):
         raise ValueError("closure weights must be monomials")
     return mons, spec.kernel.growth([[terms] for terms in mons])
@@ -441,14 +444,17 @@ def _slot_width(invariant: str, strands: int,
 
 class _Node:
     """A prefix-trie node: (letter, child) pairs, the accumulator slot of the
-    sequence ending here (or None) and the largest |letter| below."""
+    sequence ending here (or None), the largest |letter| below, and the
+    chain end: the inner node, this one or one down a chain of single
+    children on which the reach stays, where the reach drops (or None)."""
 
-    __slots__ = ("children", "slot", "reach")
+    __slots__ = ("children", "slot", "reach", "drop")
 
     def __init__(self) -> None:
         self.children: dict | tuple = {}
         self.slot: int | None = None
         self.reach = 0
+        self.drop: _Node | None = None
 
 
 def _build_trie(seqs: Sequence[tuple[int, ...]]) -> _Node:
@@ -466,15 +472,22 @@ def _build_trie(seqs: Sequence[tuple[int, ...]]) -> _Node:
     for node in order:              # breadth first; children are appended
         node.children = tuple(node.children.items())
         order.extend(child for _, child in node.children)
-    for node in reversed(order):
+    for node in reversed(order):    # children first
         node.reach = max((max(abs(letter), child.reach)
                           for letter, child in node.children), default=0)
+        for _, child in node.children:
+            if child.reach < node.reach:
+                if child.children:
+                    child.drop = child
+            elif len(child.children) == 1:
+                child.drop = child.children[0][1].drop
     return root
 
 
 def _looped(kernel, strands: int) -> int:
     """How many middle digits a walk loops outside it: all but the
-    kernel's ``batched`` top ones."""
+    kernel's ``batched`` top ones.  Their closure weight is taken once per
+    looped value, at the slot reads."""
     return max(0, strands - 1 - kernel.batched)
 
 
@@ -489,7 +502,8 @@ def _trace_totals(invariant: str, strands: int,
     every ``parts``-th value from ``part`` on.  For each value and column c,
     one state carries the basis states (c, m) of all values of the batched
     digits, each key holding its start's batched digits above the bits of
-    its current digits, and is walked through the trie depth first; a node's
+    its current digits, and each start amplitude the closure weight of its
+    batched digits.  It is walked through the trie depth first; a node's
     last child continues in the same frame, so a single-child chain holds
     only the current state.  Down a single-child chain that leads to a reach
     drop (a family's fixed part, or a lone sequence up to its first drop)
@@ -499,11 +513,11 @@ def _trace_totals(invariant: str, strands: int,
     exponents.
 
     Where the reach drops, the strands above it are traced out: a key is
-    kept only if their current digits equal its start's, it is multiplied by
-    the closure weights of its frozen batched digits, and both digit groups
-    are stripped, so keys that differed only in frozen batched digits merge.
-    A sequence's slot reads the keys whose live current digits equal their
-    start's, weighted by the looped and the live batched digits.
+    kept only if their current digits equal its start's, and both digit
+    groups are stripped, so keys that differed only in frozen batched digits
+    add up, each already weighted by them.  A sequence's slot reads the keys
+    whose live current digits equal their start's, weighted by the looped
+    digits.
     """
     kernel, d = _BUILDERS[invariant].kernel, _BUILDERS[invariant].d
     tables = _tables_for(invariant, strands, width)
@@ -517,26 +531,25 @@ def _trace_totals(invariant: str, strands: int,
               for _ in seqs]
     apply, accumulate, zero = kernel.apply, kernel.accumulate, kernel.zero
     looped = _looped(kernel, strands)
-    # per frozen batched digit count, their packed pattern -> the product of
-    # their weights, packed relative to exponent low per digit as the bases
-    # assume (like the slots' weights)
-    frozen_weights: dict[int, dict[int, tuple]] = {}
+    one, unit = kernel.one(), kernel.weight((), (), 0, width)
 
     # per count of live batched digits, their values and their key bits
     batches = [[(batch, sum(digit << (2 * s) for s, digit
                             in enumerate(batch, looped + 1)))
                 for batch in product(range(d), repeat=k)]
                for k in range(strands - looped)]
+    # per start, in the order of the top reach's diagonal, its digits' weight
+    start_weights = [kernel.weight(mons, batch, low, width)
+                     for batch, _ in batches[-1]]
 
-    def diagonal(live: int, outer: tuple[int, ...]) -> list[tuple]:
-        """(key with digit 0 on strand 1, weight) of every start whose
-        current digits on the live strands 1..live are its own."""
+    def diagonal(live: int) -> list[int]:
+        """The key, with digit 0 on strand 1, of every start whose current
+        digits on the live strands 1..live are its own."""
         # reads target of the looped value
         bits = 2 * live
         fixed = target & ((1 << bits) - 1)
-        return [((start << bits) | start | fixed,
-                 kernel.weight(mons, outer + batch, low, width))
-                for batch, start in batches[max(0, live - 1 - looped)]]
+        return [(start << bits) | start | fixed
+                for _, start in batches[max(0, live - 1 - looped)]]
 
     def freeze(state: dict, reach: int, new_reach: int, out: dict) -> dict:
         """Trace the strands above new_reach + 1 out of a state at reach,
@@ -545,61 +558,35 @@ def _trace_totals(invariant: str, strands: int,
         bits, keep_bits = 2 * reach + 2, 2 * new_reach + 2
         mask, keep = (1 << bits) - 1, (1 << keep_bits) - 1
         fixed = target & mask
-        merged = reach - max(new_reach, looped)     # frozen batched digits
-        frozen_at = bits - 2 * merged
-        by_pattern = frozen_weights.setdefault(merged, {})
+        get = out.get
         for key, amp in state.items():
             cur, start = key & mask, key >> bits
             if (cur ^ start ^ fixed) >> keep_bits:
                 continue
             nk = ((start & keep) << keep_bits) | (cur & keep)
-            if merged > 0:
-                frozen = cur >> frozen_at
-                w = by_pattern.get(frozen)
-                if w is None:
-                    w = by_pattern[frozen] = kernel.weight(mons, tuple(
-                        (frozen >> (2 * i)) & 3 for i in range(merged)),
-                        low, width)
-                prev = out.get(nk)
-                amp = accumulate(zero() if prev is None else prev, amp, w)
-            out[nk] = amp
+            prev = get(nk)
+            out[nk] = amp if prev is None else accumulate(prev, amp, unit)
         return out
 
     def read(slot: int, state: dict, reach: int) -> None:
-        """Add the weighted diagonal amplitudes of a state to a slot."""
-        # reads c and diag of the looped value and column being walked
+        """Add the diagonal amplitudes of a state, weighted by the looped
+        digits, to a slot."""
+        # reads c, diag and weight of the looped value and column being walked
         acc = totals[slot]
-        for key, w in diag[reach]:
+        for key in diag[reach]:
             for a in range(d):
                 amp = state.get(key | a)
                 if amp is not None:
-                    acc[a, c] = accumulate(acc[a, c], amp, w)
-
-    # per node from which a chain of single children, on which the reach
-    # stays, leads to an inner node where it drops: that node
-    drops: dict[_Node, _Node] = {}
-    if looped < strands - 1:
-        order = [root]
-        for node in order:
-            order.extend(child for _, child in node.children)
-        for node in reversed(order):
-            for _, child in node.children:
-                if child.reach < node.reach:
-                    if child.children:
-                        drops[child] = child
-                elif len(child.children) == 1:
-                    ((_, below),) = child.children
-                    if below in drops:
-                        drops[child] = drops[below]
+                    acc[a, c] = accumulate(acc[a, c], amp, weight)
 
     def chain(letter: int, node: _Node, state: dict,
               reach: int) -> tuple[_Node, dict, int]:
         """Node, state and reach at the drop that the chain from a letter
-        into node leads to, walked one start at a time and traced out
-        there, so the whole state is never built at the drop.  The drop's
-        own slot is left to the walk: read after the trace, it sums the
-        same weighted amplitudes."""
-        end = drops[node]
+        into node leads to (``node.drop``), walked one start at a time and
+        traced out there, so the whole state is never built at the drop.
+        The drop's own slot is left to the walk: read after the trace, it
+        sums the same amplitudes."""
+        end = node.drop
         bits = 2 * reach + 2
         starts: dict[int, dict] = {}
         for key, amp in state.items():
@@ -628,15 +615,15 @@ def _trace_totals(invariant: str, strands: int,
             if node.reach < reach:
                 state = freeze(state, reach, node.reach, {})
                 reach = node.reach
-            # only batched digits, live above the looped ones, merge
+            # with no live batched digit all keys share one start: no chain
             for letter, child in children[:-1]:
-                if child in drops and reach > looped:
+                if child.drop is not None and reach > looped:
                     walk(*chain(letter, child, state, reach))
                 else:
                     shift, _, table = tables[letter]
                     walk(child, apply(state, shift, table), reach)
             letter, node = children[-1]
-            if node in drops and reach > looped:
+            if node.drop is not None and reach > looped:
                 node, state, reach = chain(letter, node, state, reach)
             else:
                 shift, _, table = tables[letter]
@@ -645,14 +632,17 @@ def _trace_totals(invariant: str, strands: int,
     for outer in list(product(range(d), repeat=looped))[part::parts]:
         # the key of (0, outer): strand s + 2 holds digit outer[s]
         target = sum(digit << (2 * s + 2) for s, digit in enumerate(outer))
-        # per reach, the live strands
-        diag = [diagonal(reach + 1, outer) for reach in range(strands)]
+        weight = kernel.weight(mons, outer, low, width)
+        # per reach, the keys of its live diagonal
+        diag = [diagonal(reach + 1) for reach in range(strands)]
         for c in columns:
-            # every start (c, outer, batch) is a diagonal key of the top reach
-            walk(root, {key | c: kernel.one() for key, _ in diag[-1]},
+            # every start (c, outer, batch) is a diagonal key of the top
+            # reach; its amplitude is built fresh, since freeze adds into it
+            walk(root, {key | c: accumulate(zero(), one, w)
+                        for key, w in zip(diag[-1], start_weights)},
                  strands - 1)
-    # walk refers to itself: drop it, so that its closure (the weight cache
-    # among it) is freed now and not at the next garbage collection
+    # walk refers to itself: drop it, so that its closure is freed now and
+    # not at the next garbage collection
     del walk
     return bases, totals
 

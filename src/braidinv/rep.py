@@ -1,4 +1,4 @@
-"""R-matrices, weight operators, and operator algebra for both invariants.
+"""R-matrices, closure weights, and operator algebra for both invariants.
 
 Two braid-group representations are built here, both acting on V (x) V for a
 small vector space V with basis v_0..v_{d-1}:
@@ -24,7 +24,6 @@ with the left factor the lower-numbered strand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -155,13 +154,6 @@ def tensor(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     return LocalOperator(a.size * b.size, out)
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Diagonal operator on V, used as the closure weight on traced strands."""
-
-    values: tuple
-
-
 # --- colored Alexander side (d = 3) ---------------------------------------
 
 ADO_DIM = 3
@@ -194,11 +186,11 @@ def build_ado3_r() -> LocalOperator:
 
 
 @lru_cache(maxsize=None)
-def build_ado3_h() -> DiagonalOperator:
-    """Closure weight h = diag(t**2 * w**(2i)) on the 3-dimensional V."""
+def build_ado3_h() -> tuple[LaurentPoly1, ...]:
+    """Closure weight h = diag(t**2 * w**(2i)) on the 3-dimensional V, as
+    its diagonal."""
     t2 = LaurentPoly1.t_power(2)
-    return DiagonalOperator(tuple(
-        t2 * CycScalar.omega_power(2 * i) for i in range(ADO_DIM)))
+    return tuple(t2 * CycScalar.omega_power(2 * i) for i in range(ADO_DIM))
 
 
 def ado_cubic_coeffs() -> tuple[LaurentPoly1, LaurentPoly1, LaurentPoly1]:
@@ -306,10 +298,10 @@ def build_lg_r() -> LocalOperator:
 
 
 @lru_cache(maxsize=None)
-def build_lg_h() -> DiagonalOperator:
-    """Links-Gould closure weight diag(t0**-1, -t1, -t0**-1, t1)."""
-    return DiagonalOperator((_p2(-2, 0), _p2(0, 2, -1), _p2(-2, 0, -1),
-                             _p2(0, 2)))
+def build_lg_h() -> tuple[LaurentPoly2, ...]:
+    """Links-Gould closure weight diag(t0**-1, -t1, -t0**-1, t1), as its
+    diagonal."""
+    return (_p2(-2, 0), _p2(0, 2, -1), _p2(-2, 0, -1), _p2(0, 2))
 
 
 def lg_cubic_coeffs() -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
@@ -328,8 +320,8 @@ def build_lg_r_specialized() -> LocalOperator:
 
 
 @lru_cache(maxsize=None)
-def build_lg_h_specialized() -> DiagonalOperator:
-    return DiagonalOperator(tuple(specialize(v) for v in build_lg_h().values))
+def build_lg_h_specialized() -> tuple[LaurentPoly1, ...]:
+    return tuple(specialize(v) for v in build_lg_h())
 
 
 def lg_specialized_cubic_coeffs() -> tuple[LaurentPoly1, LaurentPoly1,

@@ -195,6 +195,20 @@ class TestVerify:
                 cli.main(["verify", "--suite", bad])
             assert exc.value.code == 2
 
+    def test_report_needs_a_sweep(self, capsys, tmp_path, monkeypatch):
+        def checks():
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "_relation_checks", checks)
+        report = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "relations",
+                      "--report", str(report)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--report" in err and "relations" in err
+        assert not report.exists()
+
     def test_jobs_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "relations", "--jobs", "0"])

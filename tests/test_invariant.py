@@ -212,12 +212,15 @@ class TestStates:
 
 def _reaches(seq):
     """The reach at each node of a word's own trie, root first."""
-    node = _build_trie([seq])
-    reaches = [node.reach]
-    while node.children:
-        ((_, node),) = node.children
-        reaches.append(node.reach)
-    return reaches
+    return [node.reach for node in _path(_build_trie([seq]), seq)]
+
+
+def _path(root, seq):
+    """The trie nodes along a letter sequence, root first."""
+    nodes = [root]
+    for letter in seq:
+        nodes.append(dict(nodes[-1].children)[letter])
+    return nodes
 
 
 class TestTrie:
@@ -230,6 +233,34 @@ class TestTrie:
 
     def test_reach_drops_twice(self):
         assert _reaches(self.WORDS[-1].word) == [3, 2, 2, 2, 1, 0]
+
+    def test_chain_ends(self):
+        # a family's fixed part on the top strand, then tails below it: the
+        # reach drops after the fixed part, and each node of the chain into
+        # it points at it; below it, -1 drops again and leaves are no drop
+        root = _build_trie([(3, -2, 3, 1), (3, -2, 3, -1, 1), (3, -2, 3, 2)])
+        fixed = _path(root, (3, -2, 3))
+        drop = fixed[-1]
+        assert drop.reach == 2
+        assert [n.drop for n in fixed] == [None, drop, drop, drop]
+        below = dict(drop.children)
+        assert below[-1].drop is below[-1]
+        assert below[1].drop is None and below[2].drop is None
+        # the reach stays at a branch node, so no chain runs through it
+        root = _build_trie([(3, -2, 3, 1), (3, -2, -3, 1)])
+        nodes = _path(root, (3, -2))
+        assert [n.drop for n in nodes] == [None, None, None]
+        for letter, child in nodes[-1].children:
+            assert child.drop is child, letter
+        # a lone word whose top letter comes last: no drop before the end
+        word = (1, -2, 1, 3)
+        assert [n.drop for n in _path(_build_trie([word]), word)] == \
+            [None] * 5
+        # the reach drops twice, after the first and the fourth letter
+        word = self.WORDS[-1].word
+        nodes = _path(_build_trie([word]), word)
+        assert [n.drop for n in nodes] == \
+            [None, nodes[1], nodes[4], nodes[4], nodes[4], None]
 
     def test_trie_matches_single_words(self):
         for inv in ("ado3", "lg", "lg-spec"):
@@ -281,7 +312,7 @@ def _reference_blocks(inv, strands, seq, width):
     the closure weights of m."""
     spec = _BUILDERS[inv]
     kernel, d = spec.kernel, spec.d
-    h = spec.h().values
+    h = spec.h()
     ring = type(h[0])
     blocks = {(a, c): ring.zero() for a in range(d) for c in range(d)}
     for m in product(range(d), repeat=strands - 1):
@@ -414,8 +445,8 @@ class TestPartialTrace:
 
     def test_paranoid_rejects_wrong_weights_in_a_trie(self, monkeypatch):
         # four strands, a shared prefix on the top strand and sigma_1 tails:
-        # the batched digits of strands 3 and 4 are traced out with their
-        # weights where the reach drops, not at the slots
+        # the batched digits of strands 3 and 4 are weighted at the starts
+        # and traced out where the reach drops, not weighted at the slots
         words = [BraidWord(4, (3, -2, 3) + tail)
                  for tail in ((1,), (1, 1, 1), (-1, 1, 1))]
         kernel = _BUILDERS["ado3"].kernel

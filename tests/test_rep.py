@@ -85,8 +85,8 @@ class TestAdoR:
     def test_h_weights(self):
         h = build_ado3_h()
         t2 = LaurentPoly1.t_power(2)
-        assert h.values == (t2, t2 * (W * W), t2 * (-W))
-        for v in h.values:
+        assert h == (t2, t2 * (W * W), t2 * (-W))
+        for v in h:
             assert v.is_unit_monomial()
 
     def test_cubic_relation(self):
@@ -165,8 +165,7 @@ class TestLgR:
     def test_h_weights(self):
         h = build_lg_h()
         mon = LaurentPoly2.monomial
-        assert h.values == (mon(-2, 0), mon(0, 2, -1), mon(-2, 0, -1),
-                            mon(0, 2))
+        assert h == (mon(-2, 0), mon(0, 2, -1), mon(-2, 0, -1), mon(0, 2))
 
     def test_cubic_relation_generic_and_specialized(self):
         assert not _cubic_residual(build_lg_r(), lg_cubic_coeffs())
@@ -210,7 +209,7 @@ class TestLgR:
 
     def test_specialized_h(self):
         h = build_lg_h_specialized()
-        assert h.values == tuple(specialize(v) for v in build_lg_h().values)
+        assert h == tuple(specialize(v) for v in build_lg_h())
 
 
 class TestInvertR:
