@@ -11,7 +11,7 @@ coefficients.
 """
 
 from braidinv import CycScalar, LaurentPoly1, LaurentPoly2, parse_poly, specialize
-from braidinv.ring import GENERIC_MODULUS, cyc_units
+from braidinv.ring import GENERIC_MODULUS
 
 ONE = CycScalar.one()
 W = CycScalar.omega()
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"2w - 1     = {isqrt3}   and (2w - 1)^2 = {isqrt3 * isqrt3}  (so 2w - 1 = i sqrt 3)")
 
     print("\nThe six units, with inverses:")
-    for u in cyc_units():
+    for u in (CycScalar.omega_power(k) for k in range(6)):
         print(f"  {u}  *  {u.unit_inverse()}  =  {u * u.unit_inverse()}")
 
     print("\nGalois conjugation w -> w^-1 = 1 - w gives the field norm:")

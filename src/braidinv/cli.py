@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker processes (default and maximum: CPU count)")
     pv.add_argument("--paranoid", action="store_true")
     pv.add_argument("--report", help="write the sweep report JSON here")
-    pv.add_argument("--audit", type=float, default=0.01,
+    pv.add_argument("--audit", type=float, default=None,
                     help="fraction of words re-checked via the generic "
                          "two-variable computation (default 0.01)")
 
@@ -204,14 +204,21 @@ def main(argv=None) -> int:
             words = _suite_words(args.suite)
         except ValueError as exc:
             parser.error(str(exc))
-        if words is None and args.report:
-            parser.error(f"--report needs a sweep, and --suite {args.suite} "
-                         f"runs none")
+        if words is None:
+            for flag, given in (("--report", args.report is not None),
+                                ("--paranoid", args.paranoid),
+                                ("--audit", args.audit is not None),
+                                ("--jobs", args.jobs is not None)):
+                if given:
+                    parser.error(f"{flag} needs a sweep, and --suite "
+                                 f"{args.suite} runs none")
         if args.jobs is None:
             args.jobs = os.cpu_count() or 1
         if args.jobs < 1:
             parser.error("--jobs must be at least 1")
         args.jobs = min(args.jobs, os.cpu_count() or 1)
+        if args.audit is None:
+            args.audit = 0.01
         if not 0 <= args.audit <= 1:
             parser.error(f"--audit must be in [0, 1], got {args.audit}")
         return cmd_verify(args, words)

@@ -55,12 +55,10 @@ def _pochhammer_cyc(a: int, n: int) -> CycScalar:
     return out
 
 
-def q_pochhammer(a: int, n: int, *, colored: bool = False) -> LaurentPoly1:
-    """{a; n} for integer a, or {lambda + a; n} when colored."""
+def q_pochhammer(a: int, n: int) -> LaurentPoly1:
+    """{lambda + a; n} = {lambda + a}{lambda + a - 1}...{lambda + a - n + 1}."""
     if n < 0:
         raise ValueError("Pochhammer length must be >= 0")
-    if not colored:
-        return LaurentPoly1.constant(_pochhammer_cyc(a, n))
     out = LaurentPoly1.one()
     for k in range(n):
         out = out * q_colored_bracket(a - k)
@@ -179,7 +177,7 @@ def build_ado3_r() -> LocalOperator:
                 omega_exp = 2 * (i + n) * (j - n) + n * (n - 1) // 2
                 coeff = LaurentPoly1.t_power(2 - i - j,
                                              CycScalar.omega_power(omega_exp))
-                value = coeff * ratio * q_pochhammer(-j + n, n, colored=True)
+                value = coeff * ratio * q_pochhammer(-j + n, n)
                 cur = entries.get((row, col))
                 entries[(row, col)] = value if cur is None else cur + value
     return LocalOperator(d * d, entries)

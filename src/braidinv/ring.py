@@ -19,6 +19,15 @@ On top of the scalars live two polynomial types:
   where the geometrically meaningful variables are t0 = s0**2, t1 = s1**2;
   "is a polynomial in t0, t1" means every exponent pair is even.
 
+Both are sparse dicts exponent -> nonzero coefficient: (a, b) pairs under
+int exponents, and ints under (e0, e1) pairs; the packed kernels of
+``invariant`` read and write that layout.  Their arithmetic (sum, negation,
+products, powers, unit-monomial inverse, equality) is written once, in the
+private base ``_Laurent``; a subclass supplies its coefficient ring and its
+exponent addition as a few static operations, and keeps its constructors,
+``items`` and ``__str__``.  ``CycScalar`` shares the one Z[w] product on
+pairs (``_cyc_mul``) and square-and-multiply (``_power``).
+
 No square root is adjoined: the Links-Gould R-matrix is gauged so that its
 entries lie in Z[s0**±1, s1**±1] (see ``rep.build_lg_r``).
 
@@ -29,9 +38,9 @@ s1 -> w * t**-1.
 
 from __future__ import annotations
 
-import math
+import operator
 import re
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 
 # powers of w as (a, b) pairs, index mod 6
@@ -43,6 +52,33 @@ _OMEGA_POWERS = (
     (0, -1),   # w^4
     (1, -1),   # w^5 = 1 - w
 )
+
+
+def _pair_add(x: tuple, y: tuple) -> tuple:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _pair_neg(x: tuple) -> tuple:
+    return (-x[0], -x[1])
+
+
+def _cyc_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a1 + b1 w)(a2 + b2 w) on (a, b) pairs, reduced by w**2 = w - 1."""
+    a1, b1 = x
+    a2, b2 = y
+    return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class CycScalar:
@@ -82,23 +118,13 @@ class CycScalar:
     def __mul__(self, other: Union["CycScalar", int]) -> "CycScalar":
         if isinstance(other, int):
             return CycScalar(self.a * other, self.b * other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        # (a1 + b1 w)(a2 + b2 w), then w^2 -> w - 1
-        return CycScalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+        return CycScalar(*_cyc_mul((self.a, self.b), (other.a, other.b)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycScalar":
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        result = CycScalar(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.unit_inverse() if n < 0 else self
+        return _power(base, abs(n), CycScalar.one())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -142,10 +168,6 @@ class CycScalar:
             raise ValueError(f"{self!r} is not divisible by {other!r}")
         return CycScalar(qa, qb)
 
-    def to_complex(self) -> complex:
-        """Floating-point embedding with w = (1 + i*sqrt(3))/2 (diagnostic)."""
-        return self.a + self.b * complex(0.5, math.sqrt(3.0) / 2.0)
-
     def __str__(self) -> str:
         return _coeff_str(self.a, self.b)
 
@@ -188,10 +210,115 @@ def _coeff_pair(c: CoeffLike) -> tuple[int, int]:
     return (int(c[0]), int(c[1]))
 
 
-class LaurentPoly1:
-    """Laurent polynomial in t over Z[w], as a sparse exponent -> (a, b) map."""
+class _Laurent:
+    """Sparse Laurent polynomial: a dict exponent -> nonzero coefficient.
+
+    A subclass supplies, as class attributes, its coefficient ring (``_cadd``,
+    ``_cneg``, ``_cmul``, the zero ``_ZERO``, the one ``_ONE``, ``_scalar``
+    that coerces a scalar factor, ``_is_unit`` and ``_unit_inverse``) and its
+    exponents (``_kadd``, ``_kneg`` and the zero exponent ``_ORIGIN``).
+    """
 
     __slots__ = ("_terms",)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "_Laurent":
+        """Wrap a dict that holds no zero coefficient."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
+
+    @classmethod
+    def zero(cls) -> "_Laurent":
+        return cls._of({})
+
+    @classmethod
+    def one(cls) -> "_Laurent":
+        return cls._of({cls._ORIGIN: cls._ONE})
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __add__(self, other: "_Laurent") -> "_Laurent":
+        out = dict(self._terms)
+        cadd, zero = self._cadd, self._ZERO
+        for k, c in other._terms.items():
+            cur = out.get(k)
+            if cur is not None:
+                c = cadd(cur, c)
+                if c == zero:
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._of(out)
+
+    def __neg__(self) -> "_Laurent":
+        cneg = self._cneg
+        return self._of({k: cneg(c) for k, c in self._terms.items()})
+
+    def __sub__(self, other: "_Laurent") -> "_Laurent":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_Laurent":
+        cmul = self._cmul
+        if not isinstance(other, type(self)):
+            s = self._scalar(other)
+            if s == self._ZERO:
+                return self.zero()
+            # both coefficient rings are domains: no scaled term vanishes
+            return self._of({k: cmul(c, s) for k, c in self._terms.items()})
+        out: dict = {}
+        get = out.get
+        cadd, kadd = self._cadd, self._kadd
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                k = kadd(k1, k2)
+                cur = get(k)
+                out[k] = (cmul(c1, c2) if cur is None
+                          else cadd(cur, cmul(c1, c2)))
+        zero = self._ZERO
+        return self._of({k: c for k, c in out.items() if c != zero})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_Laurent":
+        base = self.unit_monomial_inverse() if n < 0 else self
+        return _power(base, abs(n), self.one())
+
+    def is_unit_monomial(self) -> bool:
+        """True iff the polynomial is one term with a unit coefficient."""
+        return (len(self._terms) == 1
+                and self._is_unit(next(iter(self._terms.values()))))
+
+    def unit_monomial_inverse(self) -> "_Laurent":
+        """Inverse of a unit monomial; only those are invertible here."""
+        if not self.is_unit_monomial():
+            raise ZeroDivisionError(f"{self} is not a unit monomial")
+        ((k, c),) = self._terms.items()
+        return self._of({self._kneg(k): self._unit_inverse(c)})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._terms!r})"
+
+
+class LaurentPoly1(_Laurent):
+    """Laurent polynomial in t over Z[w], as a sparse exponent -> (a, b) map."""
+
+    __slots__ = ()
+    _ZERO, _ONE, _ORIGIN = (0, 0), (1, 0), 0
+    _cadd = staticmethod(_pair_add)
+    _cneg = staticmethod(_pair_neg)
+    _cmul = staticmethod(_cyc_mul)
+    _scalar = staticmethod(_coeff_pair)
+    _kadd = staticmethod(operator.add)
+    _kneg = staticmethod(operator.neg)
+    _is_unit = staticmethod(lambda c: CycScalar(*c).is_unit())
+    _unit_inverse = staticmethod(
+        lambda c: _coeff_pair(CycScalar(*c).unit_inverse()))
 
     def __init__(self, terms: Mapping[int, CoeffLike] | None = None) -> None:
         clean: dict[int, tuple[int, int]] = {}
@@ -201,14 +328,6 @@ class LaurentPoly1:
                 if a or b:
                     clean[k] = (a, b)
         self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly1":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly1":
-        return cls({0: (1, 0)})
 
     @classmethod
     def constant(cls, c: CoeffLike) -> "LaurentPoly1":
@@ -223,95 +342,6 @@ class LaurentPoly1:
             a, b = self._terms[k]
             yield k, CycScalar(a, b)
 
-    def exponents(self) -> list[int]:
-        return sorted(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly1) and self._terms == other._terms
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        out = dict(self._terms)
-        for k, (a, b) in other._terms.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = (a, b)
-            else:
-                na, nb = cur[0] + a, cur[1] + b
-                if na or nb:
-                    out[k] = (na, nb)
-                else:
-                    del out[k]
-        res = LaurentPoly1.__new__(LaurentPoly1)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "LaurentPoly1":
-        res = LaurentPoly1.__new__(LaurentPoly1)
-        res._terms = {k: (-a, -b) for k, (a, b) in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
-
-    def __mul__(self, other: Union["LaurentPoly1", CycScalar, int]) -> "LaurentPoly1":
-        if isinstance(other, (CycScalar, int)):
-            oa, ob = _coeff_pair(other)
-            out: dict[int, tuple[int, int]] = {}
-            for k, (a, b) in self._terms.items():
-                na = a * oa - b * ob
-                nb = a * ob + b * oa + b * ob
-                if na or nb:
-                    out[k] = (na, nb)
-            res = LaurentPoly1.__new__(LaurentPoly1)
-            res._terms = out
-            return res
-        out = {}
-        for k1, (a1, b1) in self._terms.items():
-            for k2, (a2, b2) in other._terms.items():
-                k = k1 + k2
-                na = a1 * a2 - b1 * b2
-                nb = a1 * b2 + b1 * a2 + b1 * b2
-                cur = out.get(k)
-                if cur is None:
-                    out[k] = (na, nb)
-                else:
-                    out[k] = (cur[0] + na, cur[1] + nb)
-        res = LaurentPoly1.__new__(LaurentPoly1)
-        res._terms = {k: c for k, c in out.items() if c[0] or c[1]}
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly1":
-        if n < 0:
-            return self.unit_monomial_inverse() ** (-n)
-        result = LaurentPoly1.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def is_unit_monomial(self) -> bool:
-        """True iff the polynomial is u * t**k with u a unit of Z[w]."""
-        if len(self._terms) != 1:
-            return False
-        ((_, (a, b)),) = self._terms.items()
-        return CycScalar(a, b).is_unit()
-
-    def unit_monomial_inverse(self) -> "LaurentPoly1":
-        """Inverse of u * t**k; only unit monomials are invertible here."""
-        if not self.is_unit_monomial():
-            raise ZeroDivisionError(f"{self} is not a unit monomial")
-        ((k, (a, b)),) = self._terms.items()
-        inv = CycScalar(a, b).unit_inverse()
-        return LaurentPoly1({-k: inv})
-
     def evaluate(self, value: CycScalar) -> CycScalar:
         """Evaluate at t = value; value must be a unit if negative powers occur."""
         total = CycScalar.zero()
@@ -321,17 +351,7 @@ class LaurentPoly1:
 
     def substitute_unit_over_t(self, unit: CycScalar) -> "LaurentPoly1":
         """Substitute t -> unit * t**-1 (used for the palindromic symmetry)."""
-        out: dict[int, tuple[int, int]] = {}
-        for k, (a, b) in self._terms.items():
-            c = CycScalar(a, b) * (unit ** k)
-            if c:
-                out[-k] = (c.a, c.b)
-        return LaurentPoly1(out)
-
-    def to_complex(self, t: complex) -> complex:
-        """Float evaluation (diagnostic only)."""
-        return sum(CycScalar(a, b).to_complex() * t ** k
-                   for k, (a, b) in self._terms.items())
+        return LaurentPoly1({-k: c * unit ** k for k, c in self.items()})
 
     def __str__(self) -> str:
         if not self._terms:
@@ -342,9 +362,6 @@ class LaurentPoly1:
             body = f"({_coeff_str(a, b)})"
             parts.append(body if k == 0 else f"{body}*t^{k}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly1({self._terms!r})"
 
 
 _TERM_RE = re.compile(r"^\(([^()]*)\)(?:\*t\^(-?\d+))?$")
@@ -373,10 +390,19 @@ def parse_poly(text: str) -> LaurentPoly1:
     return LaurentPoly1(terms)
 
 
-class LaurentPoly2:
+class LaurentPoly2(_Laurent):
     """Integer Laurent polynomial in s0, s1; t0 = s0**2 and t1 = s1**2."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _ZERO, _ONE, _ORIGIN = 0, 1, (0, 0)
+    _cadd = staticmethod(operator.add)
+    _cneg = staticmethod(operator.neg)
+    _cmul = staticmethod(operator.mul)
+    _scalar = staticmethod(operator.index)
+    _kadd = staticmethod(_pair_add)
+    _kneg = staticmethod(_pair_neg)
+    _is_unit = staticmethod(lambda c: c in (1, -1))
+    _unit_inverse = staticmethod(operator.pos)     # 1 and -1 are self-inverse
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
@@ -387,14 +413,6 @@ class LaurentPoly2:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly2":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def monomial(cls, e0: int, e1: int, c: int = 1) -> "LaurentPoly2":
         return cls({(e0, e1): c})
 
@@ -402,77 +420,9 @@ class LaurentPoly2:
         for key in sorted(self._terms):
             yield key, self._terms[key]
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly2) and self._terms == other._terms
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            n = out.get(key, 0) + c
-            if n:
-                out[key] = n
-            else:
-                out.pop(key, None)
-        res = LaurentPoly2.__new__(LaurentPoly2)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "LaurentPoly2":
-        res = LaurentPoly2.__new__(LaurentPoly2)
-        res._terms = {key: -c for key, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
-
-    def __mul__(self, other: Union["LaurentPoly2", int]) -> "LaurentPoly2":
-        if isinstance(other, int):
-            res = LaurentPoly2.__new__(LaurentPoly2)
-            res._terms = ({} if other == 0 else
-                          {key: c * other for key, c in self._terms.items()})
-            return res
-        out: dict[tuple[int, int], int] = {}
-        for (x1, y1), c1 in self._terms.items():
-            for (x2, y2), c2 in other._terms.items():
-                key = (x1 + x2, y1 + y2)
-                out[key] = out.get(key, 0) + c1 * c2
-        res = LaurentPoly2.__new__(LaurentPoly2)
-        res._terms = {key: c for key, c in out.items() if c}
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly2":
-        if n < 0:
-            raise ValueError("negative powers unsupported for LaurentPoly2")
-        result = LaurentPoly2.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def is_polynomial_in_squares(self) -> bool:
         """True iff every exponent pair is even, i.e. a true t0/t1 polynomial."""
         return all(e0 % 2 == 0 and e1 % 2 == 0 for e0, e1 in self._terms)
-
-    def is_unit_monomial(self) -> bool:
-        """True iff the polynomial is ±1 times a single monomial."""
-        if len(self._terms) != 1:
-            return False
-        (c,) = self._terms.values()
-        return c in (1, -1)
-
-    def unit_monomial_inverse(self) -> "LaurentPoly2":
-        if not self.is_unit_monomial():
-            raise ZeroDivisionError(f"{self} is not a unit monomial")
-        (((e0, e1), c),) = self._terms.items()
-        return LaurentPoly2({(-e0, -e1): c})
 
     def __str__(self) -> str:
         if not self._terms:
@@ -487,9 +437,6 @@ class LaurentPoly2:
                 body += f"*s1^{e1}"
             parts.append(body)
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly2({self._terms!r})"
 
 
 # p = (t0 - 1)(1 - t1) expanded in s: the square Y**2 of the scalar the
@@ -515,9 +462,3 @@ def specialize(p: LaurentPoly2) -> LaurentPoly1:
         elif cur is not None:
             del terms[k]
     return LaurentPoly1(terms)
-
-
-def cyc_units() -> Iterable[CycScalar]:
-    """The six units of Z[w]: w**k for k = 0..5 (w**3 = -1 covers the signs)."""
-    for k in range(6):
-        yield CycScalar.omega_power(k)

@@ -209,10 +209,26 @@ class TestVerify:
         assert "--report" in err and "relations" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag", [["--paranoid"], ["--audit", "0.5"],
+                                      ["--jobs", "1"]],
+                             ids=["paranoid", "audit", "jobs"])
+    def test_relations_refuses_sweep_flags(self, capsys, monkeypatch, flag):
+        def checks():
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "_relation_checks", checks)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "relations"] + flag)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[0] in captured.err and "relations" in captured.err
+
     def test_jobs_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--suite", "relations", "--jobs", "0"])
+            cli.main(["verify", "--suite", "s4", "--jobs", "0"])
         assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
     def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
         # the sweep is replaced, so no worker process is started

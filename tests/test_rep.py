@@ -10,6 +10,7 @@ from braidinv.rep import (
     LocalOperator,
     _gauge,
     _n3,
+    _pochhammer_cyc,
     ado_cubic_coeffs,
     build_ado3_h,
     build_ado3_r,
@@ -50,17 +51,16 @@ def _cubic_residual(r, coeffs):
 
 class TestPochhammer:
     def test_empty_product(self):
+        assert _pochhammer_cyc(5, 0) == ONE
         assert q_pochhammer(5, 0) == LaurentPoly1.one()
-        assert q_pochhammer(5, 0, colored=True) == LaurentPoly1.one()
 
     def test_single_bracket(self):
         # {1} = w - w**-1 = 2w - 1 = i*sqrt(3)
-        assert q_pochhammer(1, 1) == LaurentPoly1.constant(ISQRT3)
+        assert _pochhammer_cyc(1, 1) == ISQRT3
 
     def test_colored_bracket(self):
         # {lambda} = t - t**-1
-        assert q_pochhammer(0, 1, colored=True) == \
-            LaurentPoly1({1: ONE, -1: -ONE})
+        assert q_pochhammer(0, 1) == LaurentPoly1({1: ONE, -1: -ONE})
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
