@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -24,15 +25,26 @@ class BraidWord:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        object.__setattr__(self, "word", tuple(self.word))
+        try:
+            strands = index(self.strands)
+        except TypeError:
+            raise TypeError(f"strand count {self.strands!r} is not an "
+                            f"integer") from None
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        word = []
         for pos, k in enumerate(self.word):
-            if not isinstance(k, int) or k == 0 or abs(k) >= self.strands:
-                raise ValueError(
-                    f"letter {k!r} at position {pos} invalid for "
-                    f"{self.strands} strands"
-                )
+            try:
+                k = index(k)
+            except TypeError:
+                raise TypeError(f"letter {k!r} at position {pos} is not an "
+                                f"integer") from None
+            if k == 0 or abs(k) >= strands:
+                raise ValueError(f"letter {k!r} at position {pos} invalid "
+                                 f"for {strands} strands")
+            word.append(k)
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", tuple(word))
 
     def __len__(self) -> int:
         return len(self.word)

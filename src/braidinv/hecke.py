@@ -138,27 +138,26 @@ class CheckWord:
     full: BraidWord
 
 
+def family_words(tag: str) -> list[CheckWord]:
+    """Check words of one family: "S4", the 648 S4 words on 4 strands with
+    an empty prefix, or "Type1".."Type10", the type's fixed part followed by
+    each S4 word on 5 strands."""
+    if tag == "S4":
+        strands, fixed = 4, ()
+    elif tag in FAMILY_TAGS:
+        strands, fixed = 5, TYPE_FIXED[int(tag[4:])]
+    else:
+        raise ValueError(f"unknown family {tag!r}")
+    prefix = BraidWord(strands, fixed)
+    return [CheckWord(family=tag, index=idx, prefix=prefix,
+                      suffix=BraidWord(strands, w),
+                      full=BraidWord(strands, fixed + w))
+            for idx, w in enumerate(_s4_letters())]
+
+
 def enumerate_s4_check_words() -> list[CheckWord]:
     """The 648 S4 words as sweep entries (4 strands, empty prefix)."""
-    empty = BraidWord(4, ())
-    out = []
-    for idx, w in enumerate(_s4_letters()):
-        bw = BraidWord(4, w)
-        out.append(CheckWord(family="S4", index=idx, prefix=empty,
-                             suffix=bw, full=bw))
-    return out
-
-
-def _type_check_words(type_no: int) -> list[CheckWord]:
-    fixed = TYPE_FIXED[type_no]
-    prefix = BraidWord(5, fixed)
-    out = []
-    for idx, w in enumerate(_s4_letters()):
-        suffix = BraidWord(5, w)
-        out.append(CheckWord(family=f"Type{type_no}", index=idx,
-                             prefix=prefix, suffix=suffix,
-                             full=BraidWord(5, fixed + w)))
-    return out
+    return family_words("S4")
 
 
 def enumerate_s5_check_words() -> list[CheckWord]:
@@ -168,21 +167,7 @@ def enumerate_s5_check_words() -> list[CheckWord]:
     is the first-Markov-move rotation of the defining form (S4 element first),
     which closes to the same link.
     """
-    out: list[CheckWord] = []
-    for type_no in range(1, 11):
-        out.extend(_type_check_words(type_no))
-    return out
-
-
-def family_words(tag: str) -> list[CheckWord]:
-    """Check words of one family: "S4" or "Type1".."Type10"."""
-    if tag == "S4":
-        return enumerate_s4_check_words()
-    if tag.startswith("Type"):
-        type_no = int(tag[4:])
-        if 1 <= type_no <= 10:
-            return _type_check_words(type_no)
-    raise ValueError(f"unknown family {tag!r}")
+    return [cw for tag in FAMILY_TAGS[1:] for cw in family_words(tag)]
 
 
 def write_family_files(directory: str | Path) -> list[Path]:

@@ -83,7 +83,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import product, starmap, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord
@@ -505,11 +505,12 @@ def _trace_totals(invariant: str, strands: int,
     its current digits, and each start amplitude the closure weight of its
     batched digits.  It is walked through the trie depth first; a node's
     last child continues in the same frame, so a single-child chain holds
-    only the current state.  Down a single-child chain that leads to a reach
-    drop (a family's fixed part, or a lone sequence up to its first drop)
-    the starts are walked one at a time, so the batched state is only built
-    where the drop has shrunk it.  Each letter's table is stored relative to
-    its least exponent, so a sequence's base is the sum of its letters' least
+    only the current state.  Every edge is one ``step``: it applies the
+    letter, or, down a single-child chain that leads to a reach drop (a
+    family's fixed part, or a lone sequence up to its first drop), walks the
+    starts one at a time, so the batched state is only built where the drop
+    has shrunk it.  Each letter's table is stored relative to its least
+    exponent, so a sequence's base is the sum of its letters' least
     exponents.
 
     Where the reach drops, the strands above it are traced out: a key is
@@ -579,29 +580,31 @@ def _trace_totals(invariant: str, strands: int,
                 if amp is not None:
                     acc[a, c] = accumulate(acc[a, c], amp, weight)
 
-    def chain(letter: int, node: _Node, state: dict,
-              reach: int) -> tuple[_Node, dict, int]:
-        """Node, state and reach at the drop that the chain from a letter
-        into node leads to (``node.drop``), walked one start at a time and
-        traced out there, so the whole state is never built at the drop.
-        The drop's own slot is left to the walk: read after the trace, it
-        sums the same amplitudes."""
-        end = node.drop
-        bits = 2 * reach + 2
+    def step(letter: int, node: _Node, state: dict,
+             reach: int) -> tuple[_Node, dict, int]:
+        """Node, state and reach after the edge from a letter into node.
+        Down a chain that leads to a drop (``node.drop``) the starts go one
+        at a time and are traced out there, so the whole state is never
+        built at the drop; the drop's own slot is left to the walk.  With no
+        live batched digit all keys share one start, so there is no chain."""
+        if node.drop is None or reach <= looped:
+            shift, _, table = tables[letter]
+            return node, apply(state, shift, table), reach
+        end, bits = node.drop, 2 * reach + 2
         starts: dict[int, dict] = {}
         for key, amp in state.items():
             starts.setdefault(key >> bits, {})[key] = amp
         out: dict = {}
         for group in starts.values():
-            step, below = letter, node
+            edge, below = letter, node
             while True:
-                shift, _, table = tables[step]
+                shift, _, table = tables[edge]
                 group = apply(group, shift, table)
                 if below is end:
                     break
                 if below.slot is not None:
                     read(below.slot, group, reach)
-                ((step, below),) = below.children
+                ((edge, below),) = below.children
             freeze(group, reach, end.reach, out)
         return end, out, end.reach
 
@@ -615,19 +618,9 @@ def _trace_totals(invariant: str, strands: int,
             if node.reach < reach:
                 state = freeze(state, reach, node.reach, {})
                 reach = node.reach
-            # with no live batched digit all keys share one start: no chain
             for letter, child in children[:-1]:
-                if child.drop is not None and reach > looped:
-                    walk(*chain(letter, child, state, reach))
-                else:
-                    shift, _, table = tables[letter]
-                    walk(child, apply(state, shift, table), reach)
-            letter, node = children[-1]
-            if node.drop is not None and reach > looped:
-                node, state, reach = chain(letter, node, state, reach)
-            else:
-                shift, _, table = tables[letter]
-                state = apply(state, shift, table)
+                walk(*step(letter, child, state, reach))
+            node, state, reach = step(*children[-1], state, reach)
 
     for outer in list(product(range(d), repeat=looped))[part::parts]:
         # the key of (0, outer): strand s + 2 holds digit outer[s]
@@ -681,10 +674,11 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     Every braid is checked against the bound before the first walk, and the
     error names the first one above it.  The braids of each strand count, in
     order of first appearance, then go through one trie walk with one slot
-    width.  With a pool and jobs > 1 the values of a walk's looped middle
-    digits are split into ``jobs`` chunks whose raw totals are summed; every
-    chunk walks the same trie, so a sequence has the same base in each and
-    its totals add slot by slot.
+    width.  The values of a walk's looped middle digits are split into
+    parts, at most ``jobs`` with a pool and one without, whose raw totals
+    are summed; one part runs in this process, more go through the pool.
+    Every part walks the same trie, so a sequence has the same base in each
+    and its totals add slot by slot.
     """
     for b in braids:
         if b.strands > MAX_STRANDS:
@@ -701,20 +695,17 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     for strands, unique in groups.items():
         seqs = list(unique)
         width = _slot_width(invariant, strands, seqs)
-        if pool is not None and jobs > 1:
-            parts = min(jobs, d ** _looped(kernel, strands))
-            chunks = pool.starmap(_trace_totals, [
-                (invariant, strands, seqs, columns, width, i, parts)
-                for i in range(parts)])
-            bases, totals = chunks[0]
-            one = kernel.weight((), (), 0, width)   # the empty product
-            for _, chunk in chunks[1:]:
-                for dst, src in zip(totals, chunk):
-                    for ac, total in src.items():
-                        dst[ac] = kernel.accumulate(dst[ac], total, one)
-        else:
-            bases, totals = _trace_totals(invariant, strands, seqs, columns,
-                                          width)
+        parts = (min(jobs, d ** _looped(kernel, strands))
+                 if pool is not None and jobs > 1 else 1)
+        run = pool.starmap if parts > 1 else starmap
+        (bases, totals), *chunks = run(_trace_totals, [
+            (invariant, strands, seqs, columns, width, i, parts)
+            for i in range(parts)])
+        one = kernel.weight((), (), 0, width)       # the empty product
+        for _, chunk in chunks:
+            for dst, src in zip(totals, chunk):
+                for ac, total in src.items():
+                    dst[ac] = kernel.accumulate(dst[ac], total, one)
         for b, base, total in zip(unique.values(), bases, totals):
             value_of[strands, b.word] = _finalize(invariant, b, total, columns,
                                                   base, width)

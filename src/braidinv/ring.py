@@ -26,7 +26,9 @@ products, powers, unit-monomial inverse, equality) is written once, in the
 private base ``_Laurent``; a subclass supplies its coefficient ring and its
 exponent addition as a few static operations, and keeps its constructors,
 ``items`` and ``__str__``.  ``CycScalar`` shares the one Z[w] product on
-pairs (``_cyc_mul``) and square-and-multiply (``_power``).
+pairs (``_cyc_mul``) and square-and-multiply (``_power``).  The constructors
+take coefficients and exponents through ``operator.index``: a float raises
+``TypeError`` and is never truncated or stored.
 
 No square root is adjoined: the Links-Gould R-matrix is gauged so that its
 entries lie in Z[s0**±1, s1**±1] (see ``rep.build_lg_r``).
@@ -87,8 +89,12 @@ class CycScalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int = 0) -> None:
-        self.a = a
-        self.b = b
+        try:
+            self.a = operator.index(a)
+            self.b = operator.index(b)
+        except TypeError:
+            raise TypeError(f"CycScalar({a!r}, {b!r}) has a part that is not "
+                            f"an integer") from None
 
     @classmethod
     def zero(cls) -> "CycScalar":
@@ -207,7 +213,7 @@ def _coeff_pair(c: CoeffLike) -> tuple[int, int]:
         return (c.a, c.b)
     if isinstance(c, int):
         return (c, 0)
-    return (int(c[0]), int(c[1]))
+    return (operator.index(c[0]), operator.index(c[1]))
 
 
 class _Laurent:
@@ -324,7 +330,12 @@ class LaurentPoly1(_Laurent):
         clean: dict[int, tuple[int, int]] = {}
         if terms:
             for k, c in terms.items():
-                a, b = _coeff_pair(c)
+                try:
+                    k, (a, b) = operator.index(k), _coeff_pair(c)
+                except TypeError:
+                    raise TypeError(f"LaurentPoly1 term {k!r}: {c!r} needs an "
+                                    f"integer exponent and integer coefficient "
+                                    f"parts") from None
                 if a or b:
                     clean[k] = (a, b)
         self._terms = clean
@@ -408,8 +419,14 @@ class LaurentPoly2(_Laurent):
         clean: dict[tuple[int, int], int] = {}
         if terms:
             for key, c in terms.items():
+                try:
+                    e0, e1, c = map(operator.index, (key[0], key[1], c))
+                except TypeError:
+                    raise TypeError(f"LaurentPoly2 term {key!r}: {c!r} needs "
+                                    f"integer exponents and an integer "
+                                    f"coefficient") from None
                 if c:
-                    clean[(int(key[0]), int(key[1]))] = int(c)
+                    clean[(e0, e1)] = c
         self._terms = clean
 
     @classmethod

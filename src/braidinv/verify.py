@@ -44,7 +44,6 @@ from typing import Callable, Sequence, TextIO
 from .braid import BraidWord
 from .hecke import CheckWord
 from .invariant import _BUILDERS, closure_values
-from .invariant import compute_lg  # noqa: F401  (perfbench's tracer wraps it)
 from .rep import (
     LocalOperator,
     ado_cubic_coeffs,
@@ -270,23 +269,21 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
     try:
         entries: dict[int, SweepEntry] = {}
         for family, fam_words in by_family.items():
-            t0 = time.perf_counter()
+            t0 = t_pass = time.perf_counter()
             braids = [cw.full for _, cw in fam_words]
-            ado_vals = closure_values("ado3", braids, paranoid=paranoid,
-                                      pool=pool, jobs=jobs)
-            t1 = time.perf_counter()
-            report.timing[f"{family}.ado3"] = t1 - t0
-            if progress:
-                progress(f"{family}: colored Alexander pass done "
-                         f"({t1 - t0:.1f}s)")
-            lgs_vals = closure_values("lg-spec", braids, paranoid=paranoid,
-                                      pool=pool, jobs=jobs)
-            t2 = time.perf_counter()
-            report.timing[f"{family}.lg-spec"] = t2 - t1
-            if progress:
-                progress(f"{family}: specialized Links-Gould pass done "
-                         f"({t2 - t1:.1f}s)")
-            for (pos, cw), ado, lgs in zip(fam_words, ado_vals, lgs_vals):
+            values = []
+            for invariant, name in (("ado3", "colored Alexander"),
+                                    ("lg-spec", "specialized Links-Gould")):
+                values.append(closure_values(invariant, braids,
+                                             paranoid=paranoid, pool=pool,
+                                             jobs=jobs))
+                t_done = time.perf_counter()
+                report.timing[f"{family}.{invariant}"] = t_done - t_pass
+                if progress:
+                    progress(f"{family}: {name} pass done "
+                             f"({t_done - t_pass:.1f}s)")
+                t_pass = t_done
+            for (pos, cw), ado, lgs in zip(fam_words, *values):
                 entries[pos] = SweepEntry(braid=cw.full, family=cw.family,
                                           index=cw.index, ado3=ado,
                                           lg_specialized=lgs)

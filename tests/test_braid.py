@@ -30,6 +30,13 @@ class TestParse:
         with pytest.raises(ValueError):
             BraidWord(3, (1, 3))
 
+    def test_non_integers_are_refused(self):
+        with pytest.raises(TypeError, match=r"strand count 3\.0 "):
+            BraidWord(3.0, (1, 2))
+        with pytest.raises(TypeError, match=r"letter 2\.0 at position 1 "):
+            BraidWord(3, (1, 2.0))
+        assert type(BraidWord(True, ()).strands) is int
+
     def test_malformed(self):
         for bad in ("{2,{1,}}", "2,{1}", "{2,(1)}", "{a,{1}}"):
             with pytest.raises(ValueError):

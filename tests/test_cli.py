@@ -189,6 +189,19 @@ class TestVerify:
         assert len(doc["entries"]) == 648
         assert all(e["equal"] and e["diff"] == "(0)" for e in doc["entries"])
 
+    @pytest.mark.parametrize("suite, check", [
+        ("corollary", "[PASS] corollary: values at t = 1 and t = w: "
+                      "648 values evaluated, 0 violations"),
+        ("symmetry", "[PASS] palindromic symmetry t -> w/t: "
+                     "648 values checked, 0 violations"),
+    ])
+    def test_value_check_suites(self, capsys, suite, check):
+        rc, out, _ = run(capsys, "verify", "--suite", suite)
+        assert rc == 0
+        assert out.splitlines() == [
+            check, "S4: 648/648 equal", "total: 648/648 equal",
+            "audit: 7 generic recomputations, 0 failures"]
+
     def test_unknown_suite(self, capsys):
         for bad in ("bogus", "s5-type=11", "s5-type=0", "s5-type=x"):
             with pytest.raises(SystemExit) as exc:

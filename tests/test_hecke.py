@@ -87,8 +87,9 @@ class TestFamilies:
                                "Type10")
         with pytest.raises(ValueError):
             family_words("Type11")
-        with pytest.raises(ValueError):
-            family_words("bogus")
+        for bad in ("bogus", "Type01", "Type0", "s4"):
+            with pytest.raises(ValueError, match=repr(bad)):
+                family_words(bad)
 
     def test_fixed_parts(self):
         assert TYPE_FIXED[1] == (4, -3, 4)

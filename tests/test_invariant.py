@@ -337,6 +337,46 @@ class _SerialPool:
         return [fn(*a) for a in args]
 
 
+class _RaisingPool:
+    """A pool that must not be used."""
+
+    def starmap(self, fn, args):
+        raise AssertionError("the pool was used")
+
+
+class TestSplit:
+    """A walk is split into parts, and one part runs in this process."""
+
+    WORD = BraidWord(5, (1, -2, 3, -4, 2, 1, -3))
+
+    def test_one_job_never_touches_the_pool(self):
+        for inv, jobs in product(("ado3", "lg-spec", "lg"), (0, 1)):
+            assert closure_values(inv, [self.WORD], jobs=jobs,
+                                  pool=_RaisingPool()) == \
+                closure_values(inv, [self.WORD])
+
+    def test_single_part_group_stays_in_process(self):
+        # on 3 strands ado3 batches both middle digits: nothing is looped
+        b = BraidWord(3, (1, -2, 1, 1, -2))
+        assert _looped(_BUILDERS["ado3"].kernel, 3) == 0
+        assert closure_values("ado3", [b], jobs=2, pool=_RaisingPool()) == \
+            [compute_ado3(b).value]
+
+    def test_no_pool_is_one_part(self, monkeypatch):
+        calls = []
+
+        def spy(invariant, strands, seqs, columns, width, part=0, parts=1):
+            calls.append((part, parts))
+            return _trace_totals(invariant, strands, seqs, columns, width,
+                                 part, parts)
+
+        monkeypatch.setattr(invariant, "_trace_totals", spy)
+        assert _looped(_BUILDERS["ado3"].kernel, 5) > 0
+        (value,) = closure_values("ado3", [self.WORD], jobs=4)
+        assert calls == [(0, 1)]
+        assert value == compute_ado3(self.WORD).value
+
+
 class TestBatchedWalk:
     """One walk carries the batched middle digits of a trie, of one word or
     of many, and traces frozen strands out where the reach drops; the

@@ -1,6 +1,7 @@
 """Exact arithmetic: Z[w], Laurent polynomials, the specialization."""
 
 import random
+import re
 
 import pytest
 
@@ -90,6 +91,21 @@ def test_shared_arithmetic(cls, other, random_poly, unit):
         with pytest.raises(ZeroDivisionError):
             non_unit ** -1
     assert cls.one() != other.one()
+
+
+@pytest.mark.parametrize("build, entry", [
+    (lambda: LaurentPoly2({(0, 0): 0.5}), "(0, 0): 0.5"),
+    (lambda: LaurentPoly2({(0.5, 1): 1}), "(0.5, 1): 1"),
+    (lambda: LaurentPoly1({0: (0.5, 0)}), "0: (0.5, 0)"),
+    (lambda: LaurentPoly1({0.5: (1, 0)}), "0.5: (1, 0)"),
+    (lambda: CycScalar(0.5, 0), "CycScalar(0.5, 0)"),
+], ids=["poly2-coefficient", "poly2-exponent", "poly1-coefficient",
+        "poly1-exponent", "cyc-part"])
+def test_non_integers_are_refused(build, entry):
+    """A fractional coefficient or exponent is an error naming the entry,
+    never a truncated or stored float."""
+    with pytest.raises(TypeError, match=re.escape(entry)):
+        build()
 
 
 class TestLaurentPoly1:
