@@ -182,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="relations | s4 | s5 | s5-type=K | corollary | "
                          "symmetry | all")
     pv.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default and maximum: CPU count)")
+                    help="workers for a sweep's per-family passes and "
+                         "audits (default and maximum: CPU count)")
     pv.add_argument("--paranoid", action="store_true")
     pv.add_argument("--report", help="write the sweep report JSON here")
     pv.add_argument("--audit", type=float, default=None,

@@ -26,6 +26,7 @@ counts are the quantity that matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .braid import BraidWord
@@ -113,14 +114,17 @@ def enumerate_s3() -> list[BraidWord]:
     return [BraidWord(3, w) for w in _s3_letters()]
 
 
-def _s4_letters() -> list[Letters]:
+@lru_cache(maxsize=None)
+def _s4_braids(strands: int) -> tuple[BraidWord, ...]:
+    """S4 = U * S3 as braids on a strand count, built and validated once
+    and shared by every family on it (braids are frozen)."""
     s3 = _s3_letters()
-    return [u + w for u in U_WORDS for w in s3]
+    return tuple(BraidWord(strands, u + w) for u in U_WORDS for w in s3)
 
 
 def enumerate_s4() -> list[BraidWord]:
     """S4 = U * S3, u outermost in display order; 648 four-strand words."""
-    return [BraidWord(4, w) for w in _s4_letters()]
+    return list(_s4_braids(4))
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,9 @@ def family_words(tag: str) -> list[CheckWord]:
     else:
         raise ValueError(f"unknown family {tag!r}")
     prefix = BraidWord(strands, fixed)
-    return [CheckWord(family=tag, index=idx, prefix=prefix,
-                      suffix=BraidWord(strands, w),
-                      full=BraidWord(strands, fixed + w))
-            for idx, w in enumerate(_s4_letters())]
+    return [CheckWord(family=tag, index=idx, prefix=prefix, suffix=suffix,
+                      full=BraidWord(strands, fixed + suffix.word))
+            for idx, suffix in enumerate(_s4_braids(strands))]
 
 
 def enumerate_s4_check_words() -> list[CheckWord]:

@@ -71,10 +71,12 @@ width W is fixed once per walk from a bound on the totals' coefficients,
 proved at ``_slot_width``.  Decoding raises if a digit lands in the guard
 band.
 
-``closure_values`` is the entry point: braids of any strand counts, one walk
-per strand count, the values in input order.  The equality sweep calls it
-per family, its audit and ``braidinv compute`` once over all their braids,
-and the ``compute_*`` functions with one braid.
+``closure_values`` is the entry point: braids of any strand counts, one
+serial walk per strand count in this process, the values in input order.
+The equality sweep calls it once per family and invariant and once per
+family's audit sample, each call a task of its own; ``braidinv compute``
+calls it once over all its braids, and the ``compute_*`` functions with one
+braid.
 ``_BUILDERS`` is the one table of the invariants and what they are built of.
 """
 
@@ -83,7 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, starmap, zip_longest
+from itertools import product, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord
@@ -493,17 +495,15 @@ def _looped(kernel, strands: int) -> int:
 
 def _trace_totals(invariant: str, strands: int,
                   seqs: Sequence[tuple[int, ...]], columns: Sequence[int],
-                  width: int, part: int = 0, parts: int = 1
-                  ) -> tuple[list[int], list[dict]]:
+                  width: int) -> tuple[list[int], list[dict]]:
     """Per sequence, the exponent base and the raw accumulators
-    {(a, c): O[a, c]} of one share of the middles, packed at the slot width.
+    {(a, c): O[a, c]}, packed at the slot width.
 
-    The looped middle digits (``_looped``) take their values one at a time,
-    every ``parts``-th value from ``part`` on.  For each value and column c,
-    one state carries the basis states (c, m) of all values of the batched
-    digits, each key holding its start's batched digits above the bits of
-    its current digits, and each start amplitude the closure weight of its
-    batched digits.  It is walked through the trie depth first; a node's
+    The looped middle digits (``_looped``) take their values one at a time.
+    For each value and column c, one state carries the basis states (c, m)
+    of all values of the batched digits, each key holding its start's
+    batched digits above the bits of its current digits, and each start
+    amplitude the closure weight of its batched digits.  It is walked through the trie depth first; a node's
     last child continues in the same frame, so a single-child chain holds
     only the current state.  Every edge is one ``step``: it applies the
     letter, or, down a single-child chain that leads to a reach drop (a
@@ -622,7 +622,7 @@ def _trace_totals(invariant: str, strands: int,
                 walk(*step(letter, child, state, reach))
             node, state, reach = step(*children[-1], state, reach)
 
-    for outer in list(product(range(d), repeat=looped))[part::parts]:
+    for outer in product(range(d), repeat=looped):
         # the key of (0, outer): strand s + 2 holds digit outer[s]
         target = sum(digit << (2 * s + 2) for s, digit in enumerate(outer))
         weight = kernel.weight(mons, outer, low, width)
@@ -667,25 +667,21 @@ MAX_STRANDS = 8
 
 
 def closure_values(invariant: str, braids: Sequence[BraidWord], *,
-                   paranoid: bool = False, pool=None, jobs: int = 1) -> list:
+                   paranoid: bool = False) -> list:
     """Exact invariant values of the closures of braids on any strand counts
     up to ``MAX_STRANDS``, in input order.
 
     Every braid is checked against the bound before the first walk, and the
     error names the first one above it.  The braids of each strand count, in
-    order of first appearance, then go through one trie walk with one slot
-    width.  The values of a walk's looped middle digits are split into
-    parts, at most ``jobs`` with a pool and one without, whose raw totals
-    are summed; one part runs in this process, more go through the pool.
-    Every part walks the same trie, so a sequence has the same base in each
-    and its totals add slot by slot.
+    order of first appearance, then go through one trie walk in this
+    process, with one slot width.
     """
     for b in braids:
         if b.strands > MAX_STRANDS:
             raise ValueError(f"{invariant}: {b} is a braid on {b.strands} "
                              f"strands, above the bound of {MAX_STRANDS} "
                              f"strands")
-    kernel, d = _BUILDERS[invariant].kernel, _BUILDERS[invariant].d
+    d = _BUILDERS[invariant].d
     columns = tuple(range(d)) if paranoid else (0,)
     # strand count -> letter sequence -> its first braid
     groups: dict[int, dict[tuple[int, ...], BraidWord]] = {}
@@ -695,17 +691,7 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     for strands, unique in groups.items():
         seqs = list(unique)
         width = _slot_width(invariant, strands, seqs)
-        parts = (min(jobs, d ** _looped(kernel, strands))
-                 if pool is not None and jobs > 1 else 1)
-        run = pool.starmap if parts > 1 else starmap
-        (bases, totals), *chunks = run(_trace_totals, [
-            (invariant, strands, seqs, columns, width, i, parts)
-            for i in range(parts)])
-        one = kernel.weight((), (), 0, width)       # the empty product
-        for _, chunk in chunks:
-            for dst, src in zip(totals, chunk):
-                for ac, total in src.items():
-                    dst[ac] = kernel.accumulate(dst[ac], total, one)
+        bases, totals = _trace_totals(invariant, strands, seqs, columns, width)
         for b, base, total in zip(unique.values(), bases, totals):
             value_of[strands, b.word] = _finalize(invariant, b, total, columns,
                                                   base, width)

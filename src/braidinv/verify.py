@@ -24,10 +24,10 @@ own closure weights; with the specialized one it shares the gauged R-matrix
 with both one-variable kernels the Kronecker digit decoding
 (``invariant._digits``) and the slot-width argument.  The Burau test and the
 dense oracle of the tests stay the checks that share no engine code.  The
-sampled words go through one ``closure_values`` call, one trie walk per
-strand count, so they share prefixes and freezing like a family does, and
-the audit's time is reported under ``timing["audit"]`` and at the end of its
-progress line.
+audit is per family: a family's sampled words go through one generic
+``closure_values`` call, so they share prefixes and freezing like its
+passes do, timed under ``timing[family + ".audit"]``; their sum is
+``timing["audit"]`` and ends the audit's progress line.
 
 Identity checks (cubic relations, Yang-Baxter, the two-parameter relation of
 the denominator-cleared skein operators) are direct sparse-matrix computations
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
@@ -236,78 +237,84 @@ class SweepReport:
         json.dump(self._document(), fh, indent=2, sort_keys=True)
 
 
+def _timed_values(task: tuple) -> tuple[list, float]:
+    """Values and seconds of one (invariant, braids, paranoid) task."""
+    invariant, braids, paranoid = task
+    start = time.perf_counter()
+    values = closure_values(invariant, braids, paranoid=paranoid)
+    return values, time.perf_counter() - start
+
+
 def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
                        paranoid: bool = False, audit_fraction: float = 0.01,
                        progress: Callable[[str], None] | None = None) -> SweepReport:
     """Compare the two invariants on check words, family by family.
 
-    Each family's words go through one trie walk per invariant, for the
-    colored Alexander and the specialized Links-Gould invariant in turn,
-    timed under ``timing[family + ".ado3"]`` and ``timing[family +
-    ".lg-spec"]`` next to the family's ``timing[family]``.  A
-    deterministic subset of the input (every round(1/audit_fraction)-th word,
-    by position) is audited by the generic two-variable computation followed
-    by specialization: one generic ``closure_values`` call, timed under
-    ``timing["audit"]``.
+    Each family's words go through one trie walk per invariant, timed under
+    ``timing[family + ".ado3"]`` and ``timing[family + ".lg-spec"]``, whose
+    sum is ``timing[family]``.  A deterministic subset of the input (every
+    round(1/audit_fraction)-th word, by position) is audited by the generic
+    two-variable computation followed by specialization, one call per
+    family timed under ``timing[family + ".audit"]``; ``timing["audit"]``
+    is their sum.  Each ``closure_values`` call is a task, run here or with
+    ``jobs > 1`` on that many worker processes (at most one per task), and
+    this process pairs the results in family order.
     """
-    report = SweepReport(paranoid=paranoid)
-    report.audit_every = round(1 / audit_fraction) if audit_fraction > 0 else 0
+    every = round(1 / audit_fraction) if audit_fraction > 0 else 0
+    report = SweepReport(paranoid=paranoid, audit_every=every)
     start_all = time.perf_counter()
     by_family: dict[str, list[tuple[int, CheckWord]]] = {}
     for pos, cw in enumerate(words):
         by_family.setdefault(cw.family, []).append((pos, cw))
-    pool = None
-    if jobs > 1:
-        from multiprocessing import get_context
+    tasks = []
+    for fam_words in by_family.values():
+        braids = [cw.full for _, cw in fam_words]
+        tasks += [("ado3", braids, paranoid), ("lg-spec", braids, paranoid)]
+        if every:
+            tasks.append(("lg", [cw.full for pos, cw in fam_words
+                                 if pos % every == 0], False))
+    workers = min(jobs, len(tasks))
+    pool = nullcontext()
+    if workers > 1:
+        from multiprocessing import get_all_start_methods, get_context
         # fork shares the compiled operator tables copy-on-write and keeps
-        # workers usable from interactive __main__-less sessions
-        try:
-            ctx = get_context("fork")
-        except ValueError:
-            ctx = get_context("spawn")
-        pool = ctx.Pool(jobs)
-    try:
+        # workers usable from interactive __main__-less sessions; leaving
+        # the pool terminates it, so an error drops the tasks still queued
+        pool = get_context("fork" if "fork" in get_all_start_methods()
+                           else "spawn").Pool(workers)
+    with pool:
+        results = (map if workers <= 1 else pool.imap)(_timed_values, tasks)
         entries: dict[int, SweepEntry] = {}
         for family, fam_words in by_family.items():
-            t0 = t_pass = time.perf_counter()
-            braids = [cw.full for _, cw in fam_words]
             values = []
             for invariant, name in (("ado3", "colored Alexander"),
                                     ("lg-spec", "specialized Links-Gould")):
-                values.append(closure_values(invariant, braids,
-                                             paranoid=paranoid, pool=pool,
-                                             jobs=jobs))
-                t_done = time.perf_counter()
-                report.timing[f"{family}.{invariant}"] = t_done - t_pass
+                walked, seconds = next(results)
+                values.append(walked)
+                report.timing[f"{family}.{invariant}"] = seconds
+                report.timing[family] = report.timing.get(family, 0) + seconds
                 if progress:
-                    progress(f"{family}: {name} pass done "
-                             f"({t_done - t_pass:.1f}s)")
-                t_pass = t_done
+                    progress(f"{family}: {name} pass done ({seconds:.1f}s)")
             for (pos, cw), ado, lgs in zip(fam_words, *values):
                 entries[pos] = SweepEntry(braid=cw.full, family=cw.family,
                                           index=cw.index, ado3=ado,
                                           lg_specialized=lgs)
-            report.timing[family] = time.perf_counter() - t0
-        report.entries = [entries[pos] for pos in sorted(entries)]
-        if report.audit_every:
-            t_audit = time.perf_counter()
-            audited = report.entries[::report.audit_every]
-            generic = closure_values("lg", [e.braid for e in audited],
-                                     pool=pool, jobs=jobs)
-            for entry in audited:
-                entry.audited = True
-            report.audit_checked = len(audited)
-            report.audit_failures = sum(specialize(g) != e.lg_specialized
-                                        for g, e in zip(generic, audited))
-            report.timing["audit"] = time.perf_counter() - t_audit
-            if progress:
-                progress(f"audit: {report.audit_checked} generic recomputations, "
-                         f"{report.audit_failures} failures "
-                         f"({report.timing['audit']:.1f}s)")
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            if every:
+                generic, report.timing[f"{family}.audit"] = next(results)
+                audited = [entries[pos] for pos, _ in fam_words
+                           if pos % every == 0]
+                report.audit_checked += len(audited)
+                for g, e in zip(generic, audited):
+                    e.audited = True
+                    report.audit_failures += specialize(g) != e.lg_specialized
+    report.entries = [entries[pos] for pos in sorted(entries)]
+    if every:
+        report.timing["audit"] = sum(report.timing[f"{family}.audit"]
+                                     for family in by_family)
+        if progress:
+            progress(f"audit: {report.audit_checked} generic recomputations, "
+                     f"{report.audit_failures} failures "
+                     f"({report.timing['audit']:.1f}s)")
     report.timing["total"] = time.perf_counter() - start_all
     return report
 

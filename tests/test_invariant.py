@@ -198,7 +198,7 @@ class TestStates:
     def test_mixed_strand_counts(self, inv):
         # one call over interleaved strand counts, repeated braids and one
         # letter sequence on three strand counts: the values of the braids
-        # alone, in input order, serially and through a pool split
+        # alone, in input order
         braids = [BraidWord(n, w) for n, w in (
             (3, (1, -2, 1)), (2, (1,)), (5, (4, -3, 2, -1)), (4, (1,)),
             (2, (1, 1, 1)), (3, (1,)), (5, (2, 2)), (4, (3, -2, 1, 2)),
@@ -206,8 +206,6 @@ class TestStates:
         alone = [closure_values(inv, [b])[0] for b in braids]
         assert alone[1] != alone[3]         # the same word, other values
         assert closure_values(inv, braids) == alone
-        assert closure_values(inv, braids, jobs=2, pool=_SerialPool()) == \
-            alone
 
 
 def _reaches(seq):
@@ -330,53 +328,6 @@ def _reference_blocks(inv, strands, seq, width):
     return blocks
 
 
-class _SerialPool:
-    """What closure_values needs of a process pool, run in this process."""
-
-    def starmap(self, fn, args):
-        return [fn(*a) for a in args]
-
-
-class _RaisingPool:
-    """A pool that must not be used."""
-
-    def starmap(self, fn, args):
-        raise AssertionError("the pool was used")
-
-
-class TestSplit:
-    """A walk is split into parts, and one part runs in this process."""
-
-    WORD = BraidWord(5, (1, -2, 3, -4, 2, 1, -3))
-
-    def test_one_job_never_touches_the_pool(self):
-        for inv, jobs in product(("ado3", "lg-spec", "lg"), (0, 1)):
-            assert closure_values(inv, [self.WORD], jobs=jobs,
-                                  pool=_RaisingPool()) == \
-                closure_values(inv, [self.WORD])
-
-    def test_single_part_group_stays_in_process(self):
-        # on 3 strands ado3 batches both middle digits: nothing is looped
-        b = BraidWord(3, (1, -2, 1, 1, -2))
-        assert _looped(_BUILDERS["ado3"].kernel, 3) == 0
-        assert closure_values("ado3", [b], jobs=2, pool=_RaisingPool()) == \
-            [compute_ado3(b).value]
-
-    def test_no_pool_is_one_part(self, monkeypatch):
-        calls = []
-
-        def spy(invariant, strands, seqs, columns, width, part=0, parts=1):
-            calls.append((part, parts))
-            return _trace_totals(invariant, strands, seqs, columns, width,
-                                 part, parts)
-
-        monkeypatch.setattr(invariant, "_trace_totals", spy)
-        assert _looped(_BUILDERS["ado3"].kernel, 5) > 0
-        (value,) = closure_values("ado3", [self.WORD], jobs=4)
-        assert calls == [(0, 1)]
-        assert value == compute_ado3(self.WORD).value
-
-
 class TestBatchedWalk:
     """One walk carries the batched middle digits of a trie, of one word or
     of many, and traces frozen strands out where the reach drops; the
@@ -434,13 +385,10 @@ class TestBatchedWalk:
                 assert value == reference[b.word][0, 0], (inv, b)
 
     @pytest.mark.parametrize("inv", ["ado3", "lg-spec", "lg"])
-    def test_duplicates_and_pool_split(self, inv):
+    def test_duplicates(self, inv):
         group = self.GROUPS[4]
         serial = closure_values(inv, group, paranoid=True)
         assert serial == [closure_values(inv, [b])[0] for b in group]
-        for jobs in (2, 3):
-            assert closure_values(inv, group, paranoid=True, jobs=jobs,
-                                  pool=_SerialPool()) == serial
 
     def test_ado3_against_oracle(self):
         words = self.GROUPS[3] + [BraidWord(2, w) for w in

@@ -4,13 +4,15 @@ import io
 import json
 import random
 import re
+from multiprocessing import get_all_start_methods
 
 import pytest
 
-from braidinv import invariant
+from braidinv import invariant, verify
 from braidinv.braid import BraidWord, parse_braid
-from braidinv.hecke import enumerate_s4_check_words, family_words
+from braidinv.hecke import FAMILY_TAGS, enumerate_s4_check_words, family_words
 from braidinv.invariant import (
+    ProportionalityError,
     closure_values,
     compute_ado3,
     compute_lg,
@@ -219,13 +221,16 @@ class TestSweep:
         messages = []
         _, report = _small_sweep(audit_fraction=0.5,
                                  progress=messages.append)
-        assert sorted(report.timing) == [
-            "S4", "S4.ado3", "S4.lg-spec", "Type1", "Type1.ado3",
-            "Type1.lg-spec", "audit", "total"]
+        timing = report.timing
+        assert sorted(timing) == [
+            "S4", "S4.ado3", "S4.audit", "S4.lg-spec", "Type1", "Type1.ado3",
+            "Type1.audit", "Type1.lg-spec", "audit", "total"]
         for family in ("S4", "Type1"):
-            passes = (report.timing[f"{family}.ado3"]
-                      + report.timing[f"{family}.lg-spec"])
-            assert 0 < passes <= report.timing[family]
+            passes = timing[f"{family}.ado3"] + timing[f"{family}.lg-spec"]
+            assert 0 < passes == timing[family]
+            assert timing[f"{family}.audit"] > 0
+        assert timing["audit"] == sum(timing[f"{family}.audit"]
+                                      for family in ("S4", "Type1"))
         # every progress line ends in the seconds of its pass
         pattern = (r"(S4|Type1): (colored Alexander|specialized Links-Gould) "
                    r"pass done \(\d+\.\ds\)")
@@ -235,11 +240,46 @@ class TestSweep:
                             r"\(\d+\.\ds\)", messages[4])
 
     def test_parallel_matches_serial(self):
-        words = enumerate_s4_check_words()[:24]
-        serial = run_equality_sweep(words, jobs=1, audit_fraction=0)
-        parallel = run_equality_sweep(words, jobs=2, audit_fraction=0)
-        assert [(e.ado3, e.lg_specialized) for e in serial.entries] == \
-            [(e.ado3, e.lg_specialized) for e in parallel.entries]
+        # two families, each with its two passes and its share of the audit
+        words = enumerate_s4_check_words()[:24] + family_words("Type1")[:24]
+        docs = []
+        for jobs in (1, 2):
+            report = run_equality_sweep(words, jobs=jobs, audit_fraction=0.1)
+            assert [e.audited for e in report.entries] == \
+                [pos % 10 == 0 for pos in range(48)]
+            doc = report._document()
+            doc.pop("timing")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["audit"] == {"every": 10, "checked": 5, "failures": 0}
+
+    @pytest.mark.skipif("fork" not in get_all_start_methods(),
+                        reason="workers see the patch only through fork")
+    def test_parallel_error_propagates(self, monkeypatch, tmp_path):
+        # wrong ado3 weights fail the first task's paranoid check in a
+        # worker; the error reaches the caller, and the tasks still queued
+        # behind it are dropped
+        bad = (LaurentPoly1.t_power(2), LaurentPoly1.t_power(2),
+               LaurentPoly1.t_power(2, -CycScalar.omega()))
+        weights = invariant._weight_monomials
+        kernel = invariant._BUILDERS["ado3"].kernel
+        monkeypatch.setattr(invariant, "_weight_monomials", lambda inv: (
+            ([kernel.terms(v) for v in bad], 0.0) if inv == "ado3"
+            else weights(inv)))
+        log = tmp_path / "started"
+        run = verify.closure_values
+
+        def logged(inv, braids, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{inv}\n")
+            return run(inv, braids, **kwargs)
+
+        monkeypatch.setattr(verify, "closure_values", logged)
+        words = [cw for tag in FAMILY_TAGS for cw in family_words(tag)[:24]]
+        with pytest.raises(ProportionalityError):
+            run_equality_sweep(words, jobs=2, paranoid=True,
+                               audit_fraction=0)
+        assert 0 < len(log.read_text().split()) < 2 * len(FAMILY_TAGS)
 
     def test_paranoid_subset(self):
         words = enumerate_s4_check_words()[:6]
