@@ -50,25 +50,33 @@ class BraidWord:
         return len(self.word)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        """Concatenation: self first (bottom), then other."""
+        """Concatenation: self first (bottom), then other.  Two valid words
+        on one strand count make a valid word, so no letter is checked again."""
         if self.strands != other.strands:
             raise ValueError("cannot concatenate braids on different strand counts")
-        return BraidWord(self.strands, self.word + other.word)
+        product = object.__new__(BraidWord)
+        object.__setattr__(product, "strands", self.strands)
+        object.__setattr__(product, "word", self.word + other.word)
+        return product
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in reversed(self.word)))
 
     def conjugate(self, g: "BraidWord") -> "BraidWord":
-        """g * self * g**-1; closures of conjugates are the same link."""
+        """g * self * g**-1; closures of conjugates are the same link.
+        Public API for demo 02 and the Markov-move tests; no caller in src."""
         return g * self * g.inverse()
 
     def stabilize(self, sign: int) -> "BraidWord":
-        """Markov stabilization: add strand n+1 and the letter ±n on top."""
+        """Markov stabilization: add strand n+1 and the letter ±n on top.
+        Public API for demo 02 and the Markov-move tests; no caller in src."""
         if sign not in (1, -1):
             raise ValueError("stabilization sign must be +1 or -1")
         return BraidWord(self.strands + 1, self.word + (sign * self.strands,))
 
     def writhe(self) -> int:
+        """Signed crossing count.  Public API for demo 02, the Markov-move
+        tests and the dense oracle's framing correction; no caller in src."""
         return sum(1 if k > 0 else -1 for k in self.word)
 
     def permutation(self) -> tuple[int, ...]:

@@ -19,12 +19,7 @@ import os
 import sys
 
 from .braid import parse_braid, read_braid_list
-from .hecke import (
-    enumerate_s4_check_words,
-    enumerate_s5_check_words,
-    family_words,
-    write_family_files,
-)
+from .hecke import FAMILY_TAGS, family_words, write_family_files
 from .invariant import _BUILDERS, ProportionalityError, closure_values
 from .verify import (
     CheckResult,
@@ -80,21 +75,28 @@ def _relation_checks() -> list[CheckResult]:
     ]
 
 
+# the families each sweeping suite checks, in sweep order
+_SUITE_FAMILIES = {
+    "s4": ("S4",),
+    "corollary": ("S4",),
+    "symmetry": ("S4",),
+    "s5": FAMILY_TAGS[1:],
+    "all": FAMILY_TAGS,
+}
+
+
 def _suite_words(suite: str):
     """The check words a suite sweeps, None for ``relations``; ValueError
     for an unknown suite."""
     if suite == "relations":
         return None
-    if suite in ("s4", "corollary", "symmetry"):
-        return enumerate_s4_check_words()
-    if suite == "s5":
-        return enumerate_s5_check_words()
-    if suite == "all":
-        return enumerate_s4_check_words() + enumerate_s5_check_words()
-    tail = suite.removeprefix("s5-type=")
-    if tail != suite and tail.isdigit() and 1 <= int(tail) <= 10:
-        return family_words(f"Type{int(tail)}")
-    raise ValueError(f"unknown suite {suite!r}")
+    tags = _SUITE_FAMILIES.get(suite)
+    if tags is None:
+        tail = suite.removeprefix("s5-type=")
+        if not (tail != suite and tail.isdigit() and 1 <= int(tail) <= 10):
+            raise ValueError(f"unknown suite {suite!r}")
+        tags = (f"Type{int(tail)}",)
+    return [cw for tag in tags for cw in family_words(tag)]
 
 
 def cmd_verify(args, words) -> int:

@@ -5,10 +5,14 @@ functional on a finite-rank quotient of the braid group algebra.  Checking the
 two invariants agree on all closures of 4- and 5-strand braids therefore
 reduces to checking finitely many words:
 
-* ``S2``, ``S3``, ``S4``: generating sets of the rank-3 quotient algebras,
-  |S2| = 3, |S3| = 24, |S4| = |U| * |S3| = 27 * 24 = 648;
-* ten families of 5-strand check words, each pairing a fixed 5-strand part
-  with every S4 element, 6480 words total.
+* ``S2_WORDS``, ``S3_WORDS``, ``S4_WORDS``: generating sets of the rank-3
+  quotient algebras as letter tuples, |S2| = 3, |S3| = 24,
+  |S4| = |U| * |S3| = 27 * 24 = 648;
+* ``family_words(tag)`` for each tag of ``FAMILY_TAGS``: "S4", the 648 S4
+  words on 4 strands, and ten families of 5-strand check words, each pairing
+  a fixed 5-strand part with every S4 element, 6480 words total.  Each word
+  is the concatenation of the family's fixed part and one of the 648 S4
+  braids, both checked once, so no full word is checked letter by letter.
 
 Orders are fixed and deterministic: ± superscript patterns expand plus before
 minus, leftmost factor outermost, so the sweep's word order and report
@@ -32,8 +36,6 @@ from pathlib import Path
 from .braid import BraidWord
 
 Letters = tuple[int, ...]
-
-_S2: tuple[Letters, ...] = ((), (1,), (-1,))
 
 W_PLUS: Letters = (3, -2, 1, -2, 3)
 W_MINUS: Letters = (-3, 2, -1, 2, -3)
@@ -92,39 +94,25 @@ def _u_words() -> list[Letters]:
 
 U_WORDS: tuple[Letters, ...] = tuple(_u_words())
 
+# S2 = {1, s1, s1^-1} in this order
+S2_WORDS: tuple[Letters, ...] = ((), (1,), (-1,))
 
-def enumerate_s2() -> list[BraidWord]:
-    """S2 = {1, s1, s1^-1} in this order, as 2-strand words."""
-    return [BraidWord(2, w) for w in _S2]
+# S3 = S2 ⊔ S2 s2^{±1} S2 ⊔ S2 s2^-1 s1 s2^-1, blocks in this order
+S3_WORDS: tuple[Letters, ...] = (
+    S2_WORDS
+    + tuple(left + (2 * sign,) + right
+            for left in S2_WORDS for sign in (1, -1) for right in S2_WORDS)
+    + tuple(left + (-2, 1, -2) for left in S2_WORDS))
 
-
-def _s3_letters() -> list[Letters]:
-    out: list[Letters] = [w for w in _S2]
-    for left in _S2:
-        for sign in (1, -1):
-            for right in _S2:
-                out.append(left + (2 * sign,) + right)
-    for left in _S2:
-        out.append(left + (-2, 1, -2))
-    return out
-
-
-def enumerate_s3() -> list[BraidWord]:
-    """S3 = S2 ⊔ S2 s2^{±1} S2 ⊔ S2 s2^-1 s1 s2^-1, blocks in this order."""
-    return [BraidWord(3, w) for w in _s3_letters()]
+# S4 = U * S3, u outermost in display order
+S4_WORDS: tuple[Letters, ...] = tuple(u + w for u in U_WORDS for w in S3_WORDS)
 
 
 @lru_cache(maxsize=None)
 def _s4_braids(strands: int) -> tuple[BraidWord, ...]:
-    """S4 = U * S3 as braids on a strand count, built and validated once
-    and shared by every family on it (braids are frozen)."""
-    s3 = _s3_letters()
-    return tuple(BraidWord(strands, u + w) for u in U_WORDS for w in s3)
-
-
-def enumerate_s4() -> list[BraidWord]:
-    """S4 = U * S3, u outermost in display order; 648 four-strand words."""
-    return list(_s4_braids(4))
+    """S4 as braids on a strand count, built and validated once and shared
+    by every family on it (braids are frozen)."""
+    return tuple(BraidWord(strands, w) for w in S4_WORDS)
 
 
 @dataclass(frozen=True)
@@ -154,23 +142,8 @@ def family_words(tag: str) -> list[CheckWord]:
         raise ValueError(f"unknown family {tag!r}")
     prefix = BraidWord(strands, fixed)
     return [CheckWord(family=tag, index=idx, prefix=prefix, suffix=suffix,
-                      full=BraidWord(strands, fixed + suffix.word))
+                      full=prefix * suffix)
             for idx, suffix in enumerate(_s4_braids(strands))]
-
-
-def enumerate_s4_check_words() -> list[CheckWord]:
-    """The 648 S4 words as sweep entries (4 strands, empty prefix)."""
-    return family_words("S4")
-
-
-def enumerate_s5_check_words() -> list[CheckWord]:
-    """All 6480 five-strand check words, types 1..10 in order.
-
-    Every stored word leads with the family's fixed part; for types 1-7 that
-    is the first-Markov-move rotation of the defining form (S4 element first),
-    which closes to the same link.
-    """
-    return [cw for tag in FAMILY_TAGS[1:] for cw in family_words(tag)]
 
 
 def write_family_files(directory: str | Path) -> list[Path]:
@@ -185,8 +158,7 @@ def write_family_files(directory: str | Path) -> list[Path]:
             desc = "the 648 S4 words (4 strands)"
         else:
             name = f"s5_type_{int(tag[4:]):02d}.txt"
-            desc = (f"family {tag}: fixed part "
-                    f"{BraidWord(5, TYPE_FIXED[int(tag[4:])]).format()} "
+            desc = (f"family {tag}: fixed part {words[0].prefix.format()} "
                     f"+ each S4 element")
         path = directory / name
         with open(path, "w", encoding="ascii") as fh:

@@ -438,7 +438,8 @@ class LaurentPoly2(_Laurent):
             yield key, self._terms[key]
 
     def is_polynomial_in_squares(self) -> bool:
-        """True iff every exponent pair is even, i.e. a true t0/t1 polynomial."""
+        """True iff every exponent pair is even, i.e. a true t0/t1 polynomial.
+        Public API for demo 01 and the integrality tests; no caller in src."""
         return all(e0 % 2 == 0 and e1 % 2 == 0 for e0, e1 in self._terms)
 
     def __str__(self) -> str:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidinv.hecke import enumerate_s4_check_words, enumerate_s5_check_words
+from braidinv.hecke import FAMILY_TAGS, family_words
 from braidinv.verify import run_equality_sweep
 
 _criterion_lines = []
@@ -21,12 +21,13 @@ def record_criterion():
 
 @pytest.fixture(scope="session")
 def s4_report():
-    return run_equality_sweep(enumerate_s4_check_words(), audit_fraction=0.01)
+    return run_equality_sweep(family_words("S4"), audit_fraction=0.01)
 
 
 @pytest.fixture(scope="session")
 def s5_report():
-    return run_equality_sweep(enumerate_s5_check_words(), audit_fraction=0.01)
+    words = [cw for tag in FAMILY_TAGS[1:] for cw in family_words(tag)]
+    return run_equality_sweep(words, audit_fraction=0.01)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -78,6 +78,10 @@ class TestMoves:
         assert (a * b).word == (1, -2)
         with pytest.raises(ValueError):
             a * BraidWord(4, (1,))
+        # the strand counts are still compared although letters are not
+        # checked again; (3,) is valid on 4 strands and not on 3
+        with pytest.raises(ValueError):
+            BraidWord(3, (1,)) * BraidWord(4, (3,))
 
     def test_inverse(self):
         b = BraidWord(4, (1, -2, 3))

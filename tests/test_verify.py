@@ -10,7 +10,7 @@ import pytest
 
 from braidinv import invariant, verify
 from braidinv.braid import BraidWord, parse_braid
-from braidinv.hecke import FAMILY_TAGS, enumerate_s4_check_words, family_words
+from braidinv.hecke import FAMILY_TAGS, family_words
 from braidinv.invariant import (
     ProportionalityError,
     closure_values,
@@ -122,7 +122,7 @@ class TestPrefixCache:
             return build(seqs)
 
         monkeypatch.setattr(invariant, "_build_trie", spy)
-        words = [cw.full for cw in enumerate_s4_check_words()]
+        words = [cw.full for cw in family_words("S4")]
         values = closure_values("ado3", words)
         assert seen == [len({b.word for b in words})] and seen[0] < len(words)
         by_word = {}
@@ -131,7 +131,7 @@ class TestPrefixCache:
 
 
 def _small_sweep(**kwargs):
-    words = enumerate_s4_check_words()[:24] + family_words("Type1")[:12]
+    words = family_words("S4")[:24] + family_words("Type1")[:12]
     return words, run_equality_sweep(words, **kwargs)
 
 
@@ -164,7 +164,7 @@ class TestSweep:
         assert flags == [pos % 2 == 0 for pos in range(36)]
 
     def test_audit_disabled(self):
-        words = enumerate_s4_check_words()[:6]
+        words = family_words("S4")[:6]
         report = run_equality_sweep(words, audit_fraction=0)
         assert report.audit_every == 0
         assert report.audit_checked == 0
@@ -204,7 +204,7 @@ class TestSweep:
             return {**tables, 2: (shift, offset, table)}
 
         monkeypatch.setattr(invariant, "_tables_for", corrupted)
-        knots = [cw for cw in enumerate_s4_check_words()
+        knots = [cw for cw in family_words("S4")
                  if cw.full.closure_components() == 1][:4]
         report = run_equality_sweep(knots, audit_fraction=0.5)
         assert report.audit_checked == 2
@@ -241,7 +241,7 @@ class TestSweep:
 
     def test_parallel_matches_serial(self):
         # two families, each with its two passes and its share of the audit
-        words = enumerate_s4_check_words()[:24] + family_words("Type1")[:24]
+        words = family_words("S4")[:24] + family_words("Type1")[:24]
         docs = []
         for jobs in (1, 2):
             report = run_equality_sweep(words, jobs=jobs, audit_fraction=0.1)
@@ -282,7 +282,7 @@ class TestSweep:
         assert 0 < len(log.read_text().split()) < 2 * len(FAMILY_TAGS)
 
     def test_paranoid_subset(self):
-        words = enumerate_s4_check_words()[:6]
+        words = family_words("S4")[:6]
         report = run_equality_sweep(words, paranoid=True, audit_fraction=0)
         assert report.all_equal
         assert report.paranoid
