@@ -110,7 +110,7 @@ class BraidWord:
         return self.format()
 
 
-_BRAID_RE = re.compile(r"^\{\s*(\d+)\s*,\s*\{([0-9,\s+-]*)\}\s*\}$")
+_BRAID_RE = re.compile(r"^\{\s*([0-9]+)\s*,\s*\{([0-9,\s+-]*)\}\s*\}$")
 
 
 def parse_braid(text: str) -> BraidWord:

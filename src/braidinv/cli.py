@@ -7,6 +7,10 @@ is done.  A braid above the strand bound is refused, and named, before any
 walk starts.
 Its ``--invariant`` choices are the engine's table, ``invariant._BUILDERS``.
 
+``verify`` reads what a suite runs from one table, ``_SUITES``: the families
+it sweeps and the checks of ``_CHECKS`` it runs besides.  Its ``s5-type=K``
+keys have K = 1..10 in ASCII digits; any other name is an unknown suite.
+
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage or
 parse errors.  Results go to standard output (byte-identical across runs for
 a fixed input); progress and timing go to standard error.
@@ -17,12 +21,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .braid import parse_braid, read_braid_list
 from .hecke import FAMILY_TAGS, family_words, write_family_files
 from .invariant import _BUILDERS, ProportionalityError, closure_values
 from .verify import (
     CheckResult,
+    audit_step,
     check_corollary,
     check_cubic_ado,
     check_ishii_relation,
@@ -36,10 +42,10 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _error(exc: Exception) -> int:
-    """Report a usage or input error; its exit code."""
+def _error(exc: Exception, code: int = 2) -> int:
+    """Report an error, by default a usage or input error; its exit code."""
     print(f"error: {exc}", file=sys.stderr)
-    return 2
+    return code
 
 
 def cmd_compute(args) -> int:
@@ -54,8 +60,7 @@ def cmd_compute(args) -> int:
     try:
         values = closure_values(args.invariant, braids, paranoid=args.paranoid)
     except ProportionalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     except ValueError as exc:
         return _error(exc)
     for value in values:
@@ -75,81 +80,65 @@ def _relation_checks() -> list[CheckResult]:
     ]
 
 
-# the families each sweeping suite checks, in sweep order
-_SUITE_FAMILIES = {
-    "s4": ("S4",),
-    "corollary": ("S4",),
-    "symmetry": ("S4",),
-    "s5": FAMILY_TAGS[1:],
-    "all": FAMILY_TAGS,
+# the checks besides a sweep, each a function of the sweep's report or None
+_CHECKS = {
+    "relations": lambda report: _relation_checks(),
+    "corollary": lambda report: [check_corollary(report.entries)],
+    "symmetry": lambda report: [check_symmetry(
+        [e for e in report.entries if e.family == "S4"])],
+}
+
+# suite -> (the families it sweeps, in sweep order; its checks, in order)
+_SUITES = {
+    "relations": ((), ("relations",)),
+    "s4": (("S4",), ()),
+    "s5": (FAMILY_TAGS[1:], ()),
+    **{f"s5-type={tag.removeprefix('Type')}": ((tag,), ())
+       for tag in FAMILY_TAGS[1:]},
+    "corollary": (("S4",), ("corollary",)),
+    "symmetry": (("S4",), ("symmetry",)),
+    "all": (FAMILY_TAGS, ("relations", "corollary", "symmetry")),
 }
 
 
-def _suite_words(suite: str):
-    """The check words a suite sweeps, None for ``relations``; ValueError
-    for an unknown suite."""
-    if suite == "relations":
-        return None
-    tags = _SUITE_FAMILIES.get(suite)
-    if tags is None:
-        tail = suite.removeprefix("s5-type=")
-        if not (tail != suite and tail.isdigit() and 1 <= int(tail) <= 10):
-            raise ValueError(f"unknown suite {suite!r}")
-        tags = (f"Type{int(tail)}",)
-    return [cw for tag in tags for cw in family_words(tag)]
-
-
-def cmd_verify(args, words) -> int:
-    if not args.report:
-        return _run_verify(args, words, None)
-    # opened before the sweep, so that a bad path fails at once
+def cmd_verify(args) -> int:
+    tags, check_names = _SUITES[args.suite]
+    # opened before any check runs, so that a bad path fails at once
     try:
-        report_fh = open(args.report, "w", encoding="utf-8")
+        report_fh = (open(args.report, "w", encoding="utf-8") if args.report
+                     else nullcontext())
     except OSError as exc:
         return _error(exc)
     with report_fh:
-        return _run_verify(args, words, report_fh)
-
-
-def _run_verify(args, words, report_fh) -> int:
-    checks: list[CheckResult] = []
-    if args.suite in ("relations", "all"):
-        checks.extend(_relation_checks())
-    report = None
-    if words is not None:
-        report = run_equality_sweep(words, jobs=args.jobs, paranoid=args.paranoid,
-                                    audit_fraction=args.audit, progress=_progress)
-    if args.suite in ("corollary", "all"):
-        checks.append(check_corollary(report.entries))
-    if args.suite in ("symmetry", "all"):
-        checks.append(check_symmetry(
-            [e for e in report.entries if e.family == "S4"]))
-
-    ok = True
-    for res in checks:
-        ok = ok and res.passed
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"[{tag}] {res.name}: {res.detail}")
-        _progress(res.line())
-    if report is not None:
-        summary = report.summary()
-        for family in sorted(summary):
-            if family != "total":
-                counts = summary[family]
-                print(f"{family}: {counts['equal']}/{counts['words']} equal")
-        total = summary["total"]
-        print(f"total: {total['equal']}/{total['words']} equal")
-        if report.audit_every:
-            print(f"audit: {report.audit_checked} generic recomputations, "
-                  f"{report.audit_failures} failures")
-        for entry in report.entries:
-            if not entry.equal:
-                print(f"UNEQUAL {entry.braid.format()} diff {entry.diff}")
-        _progress(f"sweep time: {report.timing.get('total', 0.0):.1f}s")
-        ok = ok and report.all_equal
-        if report_fh is not None:
-            report.write_json(report_fh)
-            _progress(f"report written to {args.report}")
+        report = None
+        if tags:
+            report = run_equality_sweep(
+                [cw for tag in tags for cw in family_words(tag)],
+                jobs=args.jobs, paranoid=args.paranoid,
+                audit_fraction=args.audit, progress=_progress)
+        checks = [res for name in check_names for res in _CHECKS[name](report)]
+        for res in checks:
+            print(f"[{'PASS' if res else 'FAIL'}] {res.name}: {res.detail}")
+            _progress(res.line())
+        ok = all(checks)
+        if report is not None:
+            summary = report.summary()
+            for family, counts in sorted(summary.items()):
+                if family != "total":
+                    print(f"{family}: {counts['equal']}/{counts['words']} equal")
+            total = summary["total"]
+            print(f"total: {total['equal']}/{total['words']} equal")
+            if report.audit_every:
+                print(f"audit: {report.audit_checked} generic recomputations, "
+                      f"{report.audit_failures} failures")
+            for entry in report.entries:
+                if not entry.equal:
+                    print(f"UNEQUAL {entry.braid.format()} diff {entry.diff}")
+            _progress(f"sweep time: {report.timing.get('total', 0.0):.1f}s")
+            ok = ok and report.all_equal
+            if args.report:
+                report.write_json(report_fh)
+                _progress(f"report written to {args.report}")
     return 0 if ok else 1
 
 
@@ -203,11 +192,9 @@ def main(argv=None) -> int:
     if args.verb == "compute":
         return cmd_compute(args)
     if args.verb == "verify":
-        try:
-            words = _suite_words(args.suite)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if words is None:
+        if args.suite not in _SUITES:
+            parser.error(f"unknown suite {args.suite!r}")
+        if not _SUITES[args.suite][0]:
             for flag, given in (("--report", args.report is not None),
                                 ("--paranoid", args.paranoid),
                                 ("--audit", args.audit is not None),
@@ -215,16 +202,16 @@ def main(argv=None) -> int:
                 if given:
                     parser.error(f"{flag} needs a sweep, and --suite "
                                  f"{args.suite} runs none")
-        if args.jobs is None:
-            args.jobs = os.cpu_count() or 1
-        if args.jobs < 1:
+        cpus = os.cpu_count() or 1
+        if args.jobs is not None and args.jobs < 1:
             parser.error("--jobs must be at least 1")
-        args.jobs = min(args.jobs, os.cpu_count() or 1)
-        if args.audit is None:
-            args.audit = 0.01
-        if not 0 <= args.audit <= 1:
-            parser.error(f"--audit must be in [0, 1], got {args.audit}")
-        return cmd_verify(args, words)
+        args.jobs = min(args.jobs or cpus, cpus)
+        args.audit = 0.01 if args.audit is None else args.audit
+        try:
+            audit_step(args.audit)
+        except ValueError as exc:
+            parser.error(f"--audit: {exc}")
+        return cmd_verify(args)
     return cmd_enumerate(args)
 
 

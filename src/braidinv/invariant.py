@@ -676,6 +676,9 @@ def closure_values(invariant: str, braids: Sequence[BraidWord], *,
     order of first appearance, then go through one trie walk in this
     process, with one slot width.
     """
+    if invariant not in _BUILDERS:
+        raise ValueError(f"unknown invariant {invariant!r}; expected one of "
+                         f"{sorted(_BUILDERS)}")
     for b in braids:
         if b.strands > MAX_STRANDS:
             raise ValueError(f"{invariant}: {b} is a braid on {b.strands} "

@@ -245,6 +245,15 @@ def _timed_values(task: tuple) -> tuple[list, float]:
     return values, time.perf_counter() - start
 
 
+def audit_step(fraction: float) -> int:
+    """Every how many words the audit samples at a fraction in [0, 1] (0 for
+    none); ValueError for another fraction, NaN, or a step that overflows."""
+    if not 0 <= fraction <= 1 or (fraction and 1 / fraction == float("inf")):
+        raise ValueError(f"the audit fraction must be in [0, 1] with a finite "
+                         f"step 1/fraction, got {fraction!r}")
+    return round(1 / fraction) if fraction else 0
+
+
 def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
                        paranoid: bool = False, audit_fraction: float = 0.01,
                        progress: Callable[[str], None] | None = None) -> SweepReport:
@@ -260,7 +269,7 @@ def run_equality_sweep(words: Sequence[CheckWord], *, jobs: int = 1,
     ``jobs > 1`` on that many worker processes (at most one per task), and
     this process pairs the results in family order.
     """
-    every = round(1 / audit_fraction) if audit_fraction > 0 else 0
+    every = audit_step(audit_fraction)
     report = SweepReport(paranoid=paranoid, audit_every=every)
     start_all = time.perf_counter()
     by_family: dict[str, list[tuple[int, CheckWord]]] = {}

@@ -12,7 +12,7 @@ from braidinv.invariant import (
     compute_lg_specialized,
 )
 from braidinv.ring import CycScalar, LaurentPoly1
-from braidinv.verify import SweepReport
+from braidinv.verify import CheckResult, SweepReport
 
 
 TREFOIL_ADO = "(-1*w)*t^-4 + (1)*t^-2 + (-1+2*w) + (-1*w)*t^2 + (1)*t^4"
@@ -154,6 +154,16 @@ class TestCompute:
                          "--braid", "{8,{1,2,3,4,5,6,7}}")
         assert (rc, out) == (0, "(1)\n")
 
+    def test_strand_count_in_ascii_digits(self, capsys):
+        # "\u0663" is an Arabic-Indic three, a decimal digit that is not 3
+        rc, out, err = run(capsys, "compute", "--invariant", "ado3",
+                           "--braid", "{\u0663,{1,2}}")
+        assert (rc, out) == (2, "")
+        assert "malformed braid" in err
+        rc, out, _ = run(capsys, "compute", "--invariant", "ado3",
+                         "--braid", "{3,{1,2}}")
+        assert (rc, out) == (0, "(1)\n")
+
     def test_braid_and_file_mutually_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "--invariant", "ado3", "--braid", "{1,{}}",
@@ -202,11 +212,52 @@ class TestVerify:
             check, "S4: 648/648 equal", "total: 648/648 equal",
             "audit: 7 generic recomputations, 0 failures"]
 
-    def test_unknown_suite(self, capsys):
-        for bad in ("bogus", "s5-type=11", "s5-type=0", "s5-type=x"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["verify", "--suite", bad])
-            assert exc.value.code == 2
+    @pytest.mark.parametrize("bad", [
+        "bogus", "s5-type=11", "s5-type=0", "s5-type=x", "s5-type=\u00b2",
+        "s5-type=03", "s5-type=\u0663", "s5-type=+3"],
+        ids=["bogus", "type11", "type0", "typex", "superscript2", "type03",
+             "arabic-indic3", "plus3"])
+    def test_unknown_suite(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", bad])
+        assert exc.value.code == 2
+        assert f"unknown suite {bad!r}" in capsys.readouterr().err
+
+    def test_suite_table(self, capsys, monkeypatch):
+        # what each suite sweeps and checks, with every check replaced
+        runs = []
+
+        def sweep(words, **kwargs):
+            runs[-1][0] = tuple(dict.fromkeys(cw.family for cw in words))
+            return SweepReport()
+
+        def check(name, result):
+            def record(*args):
+                runs[-1][1] += (name,)
+                return result
+            return record
+
+        passed = CheckResult("fake", True, "", 0.0)
+        monkeypatch.setattr(cli, "run_equality_sweep", sweep)
+        monkeypatch.setattr(cli, "_relation_checks",
+                            check("relations", [passed]))
+        monkeypatch.setattr(cli, "check_corollary", check("corollary", passed))
+        monkeypatch.setattr(cli, "check_symmetry", check("symmetry", passed))
+        record = {}
+        for suite in cli._SUITES:
+            runs.append([(), ()])
+            assert run(capsys, "verify", "--suite", suite)[0] == 0
+            record[suite] = tuple(runs[-1])
+        types = tuple(f"Type{k}" for k in range(1, 11))
+        assert record == {
+            "relations": ((), ("relations",)),
+            "s4": (("S4",), ()),
+            "s5": (types, ()),
+            **{f"s5-type={k}": ((f"Type{k}",), ()) for k in range(1, 11)},
+            "corollary": (("S4",), ("corollary",)),
+            "symmetry": (("S4",), ("symmetry",)),
+            "all": (("S4",) + types, ("relations", "corollary", "symmetry")),
+        }
 
     def test_report_needs_a_sweep(self, capsys, tmp_path, monkeypatch):
         def checks():
@@ -273,11 +324,13 @@ class TestVerify:
         assert err.startswith("error:") and "r.json" in err
 
     def test_audit_validation(self, capsys):
-        for bad in ("5", "-1", "nan"):
+        # 1e-320 is in [0, 1], but its step 1/1e-320 overflows
+        for bad in ("5", "-1", "nan", "1e-320"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["verify", "--suite", "s4", "--audit", bad])
             assert exc.value.code == 2
-            assert "--audit" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "--audit" in err and bad in err
 
 
 class TestEnumerate:

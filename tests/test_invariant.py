@@ -613,3 +613,9 @@ class TestMarkovMoves:
         b = FIG8.conjugate(g)
         assert compute_ado3(b).value == compute_ado3(FIG8).value
         assert compute_lg(b).value == compute_lg(FIG8).value
+
+
+def test_unknown_invariant_is_named_before_the_strand_bound():
+    with pytest.raises(ValueError, match="unknown invariant 'foo'") as exc:
+        closure_values("foo", [BraidWord(9, (1,))])
+    assert str(sorted(_BUILDERS)) in str(exc.value)

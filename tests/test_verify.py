@@ -170,6 +170,12 @@ class TestSweep:
         assert report.audit_checked == 0
         assert not any(e.audited for e in report.entries)
 
+    @pytest.mark.parametrize("fraction", [5, -1, float("nan"), 1e-320])
+    def test_audit_fraction_refused(self, fraction):
+        # no silent "no audit": outside [0, 1], NaN and an overflowing step
+        with pytest.raises(ValueError, match=re.escape(repr(fraction))):
+            run_equality_sweep(family_words("S4")[:2], audit_fraction=fraction)
+
     def test_json_round_trip_and_determinism(self):
         _, first = _small_sweep(audit_fraction=0.5)
         _, second = _small_sweep(audit_fraction=0.5)
